@@ -18,7 +18,9 @@ import io
 import json
 import math
 import os
+import stat
 import sys
+import tempfile
 import time
 from dataclasses import dataclass, fields
 
@@ -187,6 +189,8 @@ def resolve_config(args: argparse.Namespace) -> tuple[ExperimentConfig, list[str
             values[key] = float(values[key])
         except (TypeError, ValueError):
             raise ConfigError(f"config key {key!r} must be a number") from None
+        if not math.isfinite(values[key]):
+            raise ConfigError(f"config key {key!r} must be finite, got {values[key]!r}")
 
     config = ExperimentConfig(**values)
     warnings: list[str] = []
@@ -646,6 +650,46 @@ def render_report(report: dict, output_format: str) -> str:
     return render_json(report) + "\n"
 
 
+def _write_report(path: str, text: str) -> None:
+    """Write ``text`` to ``path``; an OS error becomes a ``ConfigError``.
+
+    A new file, or an existing regular file with no other hard link, is
+    written whole or not at all: a complete temporary file beside it, with
+    the permissions the file has or would get, is renamed over it.  Any
+    other target (a symlink, a device, a pipe) is opened and written in
+    place, so that it stays what it is.
+    """
+    try:
+        try:
+            status = os.lstat(path)
+        except FileNotFoundError:
+            status = None
+        if status is not None and not (
+            stat.S_ISREG(status.st_mode) and status.st_nlink == 1
+        ):
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+            return
+        if status is None:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        else:
+            mode = stat.S_IMODE(status.st_mode)
+        directory, name = os.path.split(os.path.abspath(path))
+        fd, partial = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+            os.chmod(partial, mode)
+            os.replace(partial, path)
+        except BaseException:
+            os.unlink(partial)
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write report to {path!r}: {exc.strerror or exc}") from None
+
+
 # --------------------------------------------------------------------- main
 
 class _Parser(argparse.ArgumentParser):
@@ -706,8 +750,7 @@ def main(argv: list[str] | None = None) -> int:
         report = _COMMANDS[args.command](config, warn)
         text = render_report(report, config.output_format)
         if config.output_path:
-            with open(config.output_path, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
+            _write_report(config.output_path, text)
         else:
             sys.stdout.write(text)
     except ConfigError as exc:

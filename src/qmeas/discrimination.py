@@ -23,14 +23,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .hilbert import (
+    ATOL_HERMITIAN_INPUT,
+    ATOL_IMAG,
     DEFAULT_EIGENSTATE_TOL,
     DensityMatrix,
+    InvariantViolation,
     Observable,
     SpaceLayout,
     StateVector,
-    embed_operator,
     expectation,
-    is_eigenstate,
     outcome_distribution,
     partial_trace,
 )
@@ -142,34 +143,51 @@ def optimal_phase(rho_s: State, n_grid: int = MIN_PHASE_GRID) -> PhaseScanResult
     return PhaseScanResult(gamma=float(gamma % (2.0 * math.pi)), purity=purity)
 
 
-def _check_branches(branches: Sequence[StateVector]) -> tuple[StateVector, StateVector]:
+def _stacked_states(target: StateVector, branches: Sequence[StateVector]) -> np.ndarray:
+    """Rows target, branch 1, branch 2; checks one layout and orthonormal branches."""
     if len(branches) != 2:
         raise ValueError("exactly two branch states required")
     b1, b2 = branches
-    if b1.layout != b2.layout:
-        raise ValueError("branch states must share one layout")
+    if not target.layout == b1.layout == b2.layout:
+        raise ValueError("target and branches must share one layout")
     if abs(np.vdot(b1.amplitudes, b2.amplitudes)) > ATOL_ORTHONORMAL:
         raise ValueError("branch states must be orthonormal")
-    return b1, b2
+    return np.stack([target.amplitudes, b1.amplitudes, b2.amplitudes])
 
 
-def _eigen_triple(
-    op: Observable,
-    target: StateVector,
-    branches: tuple[StateVector, StateVector],
-    tol: float,
-) -> tuple[float, float, float] | None:
-    """Eigenvalues (g0, g1, g2) when all three states pass the eigenstate test."""
-    g0 = is_eigenstate(op, target, tol)
-    if g0 is None:
-        return None
-    g1 = is_eigenstate(op, branches[0], tol)
-    if g1 is None:
-        return None
-    g2 = is_eigenstate(op, branches[1], tol)
-    if g2 is None:
-        return None
-    return g0, g1, g2
+def _observables(matrices: np.ndarray) -> np.ndarray:
+    """``Observable`` construction for a stack: Hermiticity gate, then symmetrize."""
+    adjoints = matrices.conj().swapaxes(1, 2)
+    if np.max(np.abs(matrices - adjoints)) > ATOL_HERMITIAN_INPUT:
+        raise InvariantViolation("observable matrix is not Hermitian")
+    return (matrices + adjoints) / 2.0
+
+
+def _apply(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """products[n, s] = matrices[n] @ vectors[s]."""
+    return np.stack([matrices @ v for v in vectors], axis=1)
+
+
+def _eigen_residuals(products: np.ndarray, vectors: np.ndarray, tol: float):
+    """Batched ``is_eigenstate`` over products[n, s] = G_n v_s.
+
+    Returns lam[n, s] = <v_s|G_n v_s> and the mask of the candidates n under
+    which every v_s passes ||G_n v_s - lam v_s|| <= tol.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    lam = np.einsum("si,nsi->ns", vectors.conj(), products)
+    if np.max(np.abs(lam.imag)) > ATOL_IMAG:
+        raise InvariantViolation("expectation of Hermitian operator is not real")
+    lam = lam.real
+    residual = np.linalg.norm(products - lam[..., None] * vectors, axis=-1)
+    return lam, np.all(residual <= tol, axis=1)
+
+
+def _gaps(lam: np.ndarray, passed: np.ndarray) -> np.ndarray:
+    """min(|g0 - g1|, |g0 - g2|) of candidates all three states passed, else 0."""
+    gaps = np.minimum(np.abs(lam[:, 0] - lam[:, 1]), np.abs(lam[:, 0] - lam[:, 2]))
+    return np.where(passed, gaps, 0.0)
 
 
 def eigen_discrimination_test(
@@ -184,14 +202,13 @@ def eigen_discrimination_test(
     ``tol`` and the target eigenvalue differs from both branch eigenvalues by
     more than the distinctness threshold.
     """
-    b1, b2 = _check_branches(branches)
-    triple = _eigen_triple(op, target, (b1, b2), tol)
-    if triple is None:
+    vectors = _stacked_states(target, branches)
+    if op.layout != target.layout:
+        raise ValueError(f"layout mismatch: {target.layout.labels} vs {op.layout.labels}")
+    lam, passed = _eigen_residuals(_apply(op.matrix[None], vectors), vectors, tol)
+    if _gaps(lam, passed)[0] <= DISTINCTNESS_THRESHOLD:
         return None
-    g0, g1, g2 = triple
-    if min(abs(g0 - g1), abs(g0 - g2)) <= DISTINCTNESS_THRESHOLD:
-        return None
-    return triple
+    return tuple(float(g) for g in lam[0])
 
 
 @dataclass(frozen=True)
@@ -253,6 +270,53 @@ def _pointer_algebra_matrix(direction: np.ndarray) -> np.ndarray:
     return d0 * PAULI_Z + d1 * PAULI_X + d2 * PAULI_Y
 
 
+_POINTER_BASIS = np.stack([PAULI_Z, PAULI_X, PAULI_Y])
+_POINTER_FAMILY = "{} pointer algebra on the coefficient sphere ({} grid + {} random points)"
+_CHUNK = 64  # candidates per batch; larger batches raise peak memory, not speed
+
+
+def _pointer_algebra_matrices(directions: np.ndarray) -> np.ndarray:
+    """d0 P_z + d1 P_x + d2 P_y for each row (d0, d1, d2) of ``directions``."""
+    return np.einsum("nk,kab->nab", directions, _POINTER_BASIS)
+
+
+def _chunks(n: int):
+    """(start, size) of the consecutive batches that cover ``range(n)``."""
+    for start in range(0, n, _CHUNK):
+        yield start, min(_CHUNK, n - start)
+
+
+def _hermitians(parts: np.ndarray) -> np.ndarray:
+    """(X + X^H) / 2 for X = parts[:, 0] + i parts[:, 1]."""
+    raw = parts[:, 0] + 1j * parts[:, 1]
+    return (raw + raw.conj().swapaxes(1, 2)) / 2.0
+
+
+def _random_hermitians(n: int, dim: int, rng: np.random.Generator):
+    """(start, matrices) per batch; each matrix draws its real, then imaginary part."""
+    for start, size in _chunks(n):
+        yield start, _hermitians(rng.normal(size=(size, 2, dim, dim)))
+
+
+def _forcing_samples(n: int, dim: int, rng: np.random.Generator):
+    """(g1, g2, H) per batch; sample k draws g1, g2, then H as above, and
+    g2 = g1 on even k so that the target passes the eigenstate test."""
+    for start, size in _chunks(n):
+        draw = rng.normal(size=(size, 2 + 2 * dim * dim))
+        g2 = np.where(np.arange(start, start + size) % 2 == 0, draw[:, 0], draw[:, 1])
+        yield draw[:, 0], g2, _hermitians(draw[:, 2:].reshape(size, 2, dim, dim))
+
+
+def _pointer_directions(sampling: SamplingPlan, rng: np.random.Generator):
+    """Pointer-algebra coefficients per batch, in scan order: grid, then random."""
+    grid = fibonacci_sphere(sampling.n_grid)
+    for start, size in _chunks(sampling.n_grid):
+        yield grid[start:start + size]
+    for _, size in _chunks(sampling.n_random):
+        rows = rng.normal(size=(size, 3))
+        yield rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
 def forcing_check(
     states: tuple[StateVector, StateVector, StateVector],
     n_samples: int = 1000,
@@ -268,22 +332,21 @@ def forcing_check(
     p1 = np.outer(b1.amplitudes, b1.amplitudes.conj())
     p2 = np.outer(b2.amplitudes, b2.amplitudes.conj())
     complement = np.eye(dim) - p1 - p2
+    target = psi.amplitudes[None]
     rng = np.random.default_rng(seed)
     max_residual = 0.0
     max_gap = 0.0
-    for k in range(n_samples):
-        g1, g2 = rng.normal(size=2)
-        if k % 2 == 0:
-            g2 = g1  # exercise the branch where the target passes the test
-        raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        block = complement @ ((raw + raw.conj().T) / 2.0) @ complement
-        matrix = g1 * p1 + g2 * p2 + block
-        op = Observable(psi.layout, matrix)
-        forced = a1 * g1 * b1.amplitudes + a2 * g2 * b2.amplitudes
-        residual = float(np.linalg.norm(op.matrix @ psi.amplitudes - forced))
-        max_residual = max(max_residual, residual)
-        if is_eigenstate(op, psi, tol) is not None:
-            max_gap = max(max_gap, abs(g1 - g2) * abs(a1) * abs(a2))
+    for g1, g2, hermitian in _forcing_samples(n_samples, dim, rng):
+        block = complement @ hermitian @ complement
+        matrices = _observables(g1[:, None, None] * p1 + g2[:, None, None] * p2 + block)
+        products = _apply(matrices, target)
+        forced = (a1 * g1)[:, None] * b1.amplitudes + (a2 * g2)[:, None] * b2.amplitudes
+        residual = np.linalg.norm(products[:, 0] - forced, axis=1)
+        max_residual = max(max_residual, float(residual.max()))
+        passed = _eigen_residuals(products, target, tol)[1]
+        if passed.any():
+            gap = np.abs(g1 - g2)[passed] * abs(a1) * abs(a2)
+            max_gap = max(max_gap, float(gap.max()))
     return ForcingCheck(n_samples, max_residual, max_gap)
 
 
@@ -303,9 +366,10 @@ def nogo_search(
     matrices on the whole space together with the structured observable set.
     ``states`` is the entangled chain state followed by its two branches.
 
-    The verdict reports whether any candidate separates the chain state from
-    both branches, the largest eigenvalue gap among candidates for which all
-    three states passed the eigenstate test, and the forcing-identity record.
+    Candidates are tested in batches, in scan order, and the scan stops at
+    the first discriminating one.  The verdict reports whether one was
+    found, the largest eigenvalue gap among candidates for which all three
+    states passed the eigenstate test, and the forcing-identity record.
     With a vanishing branch amplitude the scan is skipped and flagged
     out of regime, where discrimination is trivially possible.
     """
@@ -314,9 +378,7 @@ def nogo_search(
     if sampling.total < MIN_NOGO_SAMPLES:
         raise ValueError(f"no-go sampling needs at least {MIN_NOGO_SAMPLES} candidates")
     psi, b1, b2 = states
-    b1, b2 = _check_branches((b1, b2))
-    if psi.layout != b1.layout:
-        raise ValueError("target and branches must share one layout")
+    vectors = _stacked_states(psi, (b1, b2))
     a1 = complex(np.vdot(b1.amplitudes, psi.amplitudes))
     a2 = complex(np.vdot(b2.amplitudes, psi.amplitudes))
     if abs(a1 * a2) <= DEGENERATE_AMPLITUDE:
@@ -336,66 +398,52 @@ def nogo_search(
     rng = np.random.default_rng(seed)
     dim = psi.layout.total_dim
 
-    def candidates():
+    def candidate_chunks():
+        """Batches of (products[n, s] = G_n v_s, the parameters of each G_n)."""
         if layout_scope in ("O", "D"):
-            label = OBSERVER if layout_scope == "O" else DETECTOR
-            sub = SpaceLayout.of(label)
-            directions = fibonacci_sphere(sampling.n_grid)
-            for row in directions:
-                op = Observable(sub, _pointer_algebra_matrix(row), name="A")
-                yield embed_operator(op, [label], psi.layout), tuple(row)
-            for _ in range(sampling.n_random):
-                row = rng.normal(size=3)
-                row /= np.linalg.norm(row)
-                op = Observable(sub, _pointer_algebra_matrix(row), name="A")
-                yield embed_operator(op, [label], psi.layout), tuple(row)
+            axis = psi.layout.axis(OBSERVER if layout_scope == "O" else DETECTOR)
+            # G_n acts on the middle axis of (state, factors before, factor, after)
+            tensors = vectors.reshape(3, 2**axis, 2, -1)
+            for directions in _pointer_directions(sampling, rng):
+                matrices = _observables(_pointer_algebra_matrices(directions))
+                products = np.einsum("nij,sajb->nsaib", matrices, tensors)
+                yield products.reshape(len(directions), 3, dim), list(map(tuple, directions))
         else:
-            structured = dict(zoo(psi.layout).members)
-            structured["I"] = Observable(psi.layout, np.eye(dim), name="I")
-            for name, op in structured.items():
-                yield op, name
-            for k in range(sampling.n_random):
-                raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-                yield Observable(psi.layout, (raw + raw.conj().T) / 2.0), f"random[{k}]"
+            structured = zoo(psi.layout).members
+            matrices = np.stack([op.matrix for op in structured.values()] + [np.eye(dim)])
+            yield _apply(matrices, vectors), [*structured, "I"]
+            for start, matrices in _random_hermitians(sampling.n_random, dim, rng):
+                params = [f"random[{k}]" for k in range(start, start + len(matrices))]
+                yield _apply(_observables(matrices), vectors), params
 
-    if layout_scope == "O":
-        family = (
-            f"observer pointer algebra on the coefficient sphere "
-            f"({sampling.n_grid} grid + {sampling.n_random} random points)"
-        )
-    elif layout_scope == "D":
-        family = (
-            f"detector pointer algebra on the coefficient sphere "
-            f"({sampling.n_grid} grid + {sampling.n_random} random points)"
-        )
-    else:
+    if layout_scope == "MS":
         family = (
             f"random Hermitian matrices of dim {dim} plus the structured "
             f"observable set ({sampling.n_random} random points)"
         )
+    else:
+        factor = "observer" if layout_scope == "O" else "detector"
+        family = _POINTER_FAMILY.format(factor, sampling.n_grid, sampling.n_random)
 
     n_tested = 0
-    found = False
     witness = None
     max_min_gap = 0.0
-    for op, params in candidates():
-        n_tested += 1
-        triple = _eigen_triple(op, psi, (b1, b2), tol)
-        if triple is None:
-            continue
-        g0, g1, g2 = triple
-        gap = min(abs(g0 - g1), abs(g0 - g2))
-        max_min_gap = max(max_min_gap, gap)
-        if gap > DISTINCTNESS_THRESHOLD:
-            found = True
-            witness = (params, g0, g1, g2)
+    for products, params in candidate_chunks():
+        lam, passed = _eigen_residuals(products, vectors, tol)
+        gaps = _gaps(lam, passed)
+        hits = np.flatnonzero(gaps > DISTINCTNESS_THRESHOLD)
+        tested = int(hits[0]) + 1 if hits.size else len(params)
+        n_tested += tested
+        max_min_gap = max(max_min_gap, float(gaps[:tested].max()))
+        if hits.size:
+            witness = (params[hits[0]], *(float(g) for g in lam[hits[0]]))
             break
 
     forcing = forcing_check((psi, b1, b2), forcing_samples, seed=seed + 1, tol=tol)
     return DiscriminationVerdict(
         family_description=family,
         n_candidates_tested=n_tested,
-        found=found,
+        found=witness is not None,
         witness=witness,
         max_min_gap=max_min_gap,
         out_of_regime=False,

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import stat
+import threading
 
 import pytest
 
@@ -18,6 +21,12 @@ SQ2 = 1 / math.sqrt(2)
 
 def resolve(argv):
     return resolve_config(build_parser().parse_args(argv))
+
+
+def run_main(argv, capsys):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
 
 
 # ------------------------------------------------------------ config merging
@@ -105,13 +114,161 @@ def test_bad_env_overlap_rejected():
         resolve(["simulate", "--env-overlap", "1.5"])
 
 
+@pytest.mark.parametrize(
+    "flags, key",
+    [
+        (["--a1", "nan"], "a1_re"),
+        (["--a1", "0.6,inf"], "a1_im"),
+        (["--a2=-inf"], "a2_re"),
+        (["--gamma", "nan"], "gamma"),
+        (["--c-phase", "inf"], "c_phase"),
+        (["--env-overlap", "nan"], "env_overlap"),
+    ],
+)
+def test_non_finite_flag_exits_one_naming_the_key(flags, key, capsys):
+    rc, out, err = run_main(["discriminate", *flags], capsys)
+    assert rc == 1
+    assert out == ""
+    assert err.count("\n") == 1 and key in err and "finite" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize("key", ["a1_re", "a2_im", "gamma", "c_phase", "env_overlap"])
+def test_non_finite_config_value_exits_one_naming_the_key(key, literal, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(f'{{"{key}": {literal}}}')
+    rc, out, err = run_main(["simulate", "--events", "10", "--config", str(path)], capsys)
+    assert rc == 1
+    assert out == ""
+    assert err.count("\n") == 1 and key in err and "finite" in err
+
+
+def test_unwritable_out_path_exits_one_without_traceback(tmp_path, capsys):
+    target = tmp_path / "missing" / "r.json"
+    rc, out, err = run_main(
+        ["simulate", "--events", "10", "--seed", "1", "--out", str(target)], capsys
+    )
+    assert rc == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "cannot write report" in err and str(target) in err
+    assert "Traceback" not in err
+    assert not target.parent.exists()
+
+
+def test_directory_out_path_exits_one_and_stays_empty(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.mkdir()
+    rc, _, err = run_main(
+        ["simulate", "--events", "10", "--seed", "1", "--out", str(target)], capsys
+    )
+    assert rc == 1
+    assert "cannot write report" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert list(target.iterdir()) == []
+
+
+def test_failed_replace_keeps_old_file_and_leaves_no_partial_file(
+    tmp_path, capsys, monkeypatch
+):
+    target = tmp_path / "r.json"
+    target.write_text("old")
+
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr("qmeas.cli.os.replace", refuse)
+    rc, _, err = run_main(
+        ["simulate", "--events", "10", "--seed", "1", "--out", str(target)], capsys
+    )
+    assert rc == 1
+    assert err.count("\n") == 1 and "Permission denied" in err
+    assert target.read_text() == "old"
+    assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+
+
+def test_out_path_holds_whole_report_and_nothing_else(tmp_path, capsys):
+    target = tmp_path / "r.json"
+    target.write_text("stale")
+    rc, out, _ = run_main(
+        ["simulate", "--events", "10", "--seed", "1", "--out", str(target)], capsys
+    )
+    assert rc == 0 and out == ""
+    assert json.loads(target.read_text())["config"]["n_events"] == 10
+    assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+
+
+def test_out_path_keeps_file_mode(tmp_path, capsys):
+    target = tmp_path / "r.json"
+    target.write_text("stale")
+    target.chmod(0o640)
+    rc, _, _ = run_main(["simulate", "--events", "10", "--out", str(target)], capsys)
+    assert rc == 0
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert json.loads(target.read_text())["command"] == "simulate"
+
+
+def test_new_out_file_gets_umask_mode(tmp_path, capsys):
+    target = tmp_path / "r.json"
+    old = os.umask(0o027)
+    try:
+        rc, _, _ = run_main(["simulate", "--events", "10", "--out", str(target)], capsys)
+    finally:
+        os.umask(old)
+    assert rc == 0
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+
+def test_symlink_out_path_writes_through_the_link(tmp_path, capsys):
+    real = tmp_path / "real.json"
+    real.write_text("stale")
+    link = tmp_path / "link.json"
+    link.symlink_to(real)
+    rc, _, _ = run_main(["simulate", "--events", "10", "--out", str(link)], capsys)
+    assert rc == 0
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert json.loads(real.read_text())["command"] == "simulate"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "real.json"]
+
+
+def test_hard_linked_out_file_is_written_in_place(tmp_path, capsys):
+    target = tmp_path / "r.json"
+    target.write_text("stale")
+    other = tmp_path / "other.json"
+    os.link(target, other)
+    rc, _, _ = run_main(["simulate", "--events", "10", "--out", str(target)], capsys)
+    assert rc == 0
+    assert os.path.samefile(target, other)
+    assert json.loads(other.read_text())["command"] == "simulate"
+
+
+def test_stale_temp_name_is_left_alone(tmp_path, capsys):
+    stale = tmp_path / f".r.json.{os.getpid()}.tmp"
+    stale.write_text("not ours")
+    target = tmp_path / "r.json"
+    rc, _, _ = run_main(["simulate", "--events", "10", "--out", str(target)], capsys)
+    assert rc == 0
+    assert stale.read_text() == "not ours"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [stale.name, "r.json"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_fifo_out_path_is_written_not_replaced(tmp_path, capsys):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(
+        target=lambda: received.append(fifo.read_text()), daemon=True
+    )
+    reader.start()
+    rc, _, _ = run_main(["simulate", "--events", "10", "--out", str(fifo)], capsys)
+    reader.join(timeout=30)
+    assert rc == 0
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert json.loads(received[0])["command"] == "simulate"
+
+
 # ------------------------------------------------------------------ running
-
-def run_main(argv, capsys):
-    rc = main(argv)
-    captured = capsys.readouterr()
-    return rc, captured.out, captured.err
-
 
 def test_simulate_eigenstate_input(capsys):
     rc, out, err = run_main(

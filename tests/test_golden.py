@@ -1,0 +1,76 @@
+"""Reports at small fixed configs against the committed reports in ``golden/``.
+
+The files were written by the per-candidate implementation before the
+no-go search was batched; a refactor must reproduce them, including the
+order in which random candidates are drawn.  Non-floats must match exactly
+and floats to within 1e-13 (relative or absolute).  To regenerate one after
+a deliberate report change, run the ``argv`` below with ``--out`` pointing
+into ``tests/golden/``.
+"""
+
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from qmeas.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+FLOAT_TOLERANCE = 1e-13
+
+CASES = {
+    "nogo_seed3": ["nogo", "--a1", "0.6", "--a2", "0,0.8", "--events", "10000", "--seed", "3"],
+    "nogo_seed11": ["nogo", "--a1", "0.6", "--a2", "0,0.8", "--events", "10000", "--seed", "11"],
+    "simulate": ["simulate", "--events", "10000", "--seed", "5"],
+    "discriminate": ["discriminate", "--gamma", "0.3", "--c-phase", "0.7"],
+    "decohere": ["decohere", "--n-env", "4", "--env-overlap", "0.5"],
+}
+
+
+def differences(got, want, path=""):
+    """Paths where ``got`` differs from ``want``."""
+    number = (int, float)
+    if (isinstance(got, number) and isinstance(want, number)
+            and not isinstance(got, bool) and not isinstance(want, bool)):
+        if isinstance(got, int) and isinstance(want, int):
+            differ = got != want
+        else:
+            differ = not math.isclose(
+                got, want, rel_tol=FLOAT_TOLERANCE, abs_tol=FLOAT_TOLERANCE
+            )
+        if differ:
+            yield f"{path}: {got!r} != {want!r}"
+    elif isinstance(got, dict) and isinstance(want, dict):
+        if list(got) != list(want):
+            yield f"{path}: keys {list(got)} != {list(want)}"
+            return
+        for key in got:
+            yield from differences(got[key], want[key], f"{path}.{key}")
+    elif isinstance(got, list) and isinstance(want, list):
+        if len(got) != len(want):
+            yield f"{path}: length {len(got)} != {len(want)}"
+            return
+        for i, (g, w) in enumerate(zip(got, want)):
+            yield from differences(g, w, f"{path}[{i}]")
+    elif type(got) is not type(want) or got != want:
+        yield f"{path}: {got!r} != {want!r}"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("QMEAS_SEED", raising=False)
+    out = tmp_path / f"{name}.json"
+    assert main(CASES[name] + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    got = json.loads(out.read_text(encoding="utf-8"))
+    want = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+    assert list(differences(got, want)) == []
+
+
+def test_differences_applies_the_float_tolerance():
+    assert list(differences({"x": 1.0, "n": 3}, {"x": 1.0 + 1e-15, "n": 3})) == []
+    assert list(differences({"x": 1.0}, {"x": 1.0 + 1e-12})) != []
+    assert list(differences({"n": 3}, {"n": 3.0 + 1e-14})) == []
+    assert list(differences({"flag": True}, {"flag": 1})) != []
+    assert list(differences([1, 2], [1, 2, 3])) == [": length 2 != 3"]

@@ -1,0 +1,106 @@
+"""The batched no-go engine against the per-candidate loop in ``_oracle``.
+
+The engine draws its random candidates in batches and applies them with
+einsum and stacked products, so the comparison requires identical draws,
+counts, parameters and flags, and floats equal to within 64 ulp of O(1)
+quantities: the summation order of a matrix-vector product may differ from
+the loop's, nothing else does.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import _oracle
+from qmeas.discrimination import (
+    SamplingPlan,
+    _forcing_samples,
+    _pointer_directions,
+    _random_hermitians,
+    fibonacci_sphere,
+    forcing_check,
+    nogo_search,
+)
+from qmeas.model import branch_state, measurement_chain_state, ms_layout
+
+SDO = ms_layout()
+STATES = (measurement_chain_state(0.6, 0.8j), branch_state(1, SDO), branch_state(2, SDO))
+# neither count is a multiple of the engine's batch size
+PLAN = SamplingPlan(5003, 5011)
+FLOAT_TOL = 64 * np.finfo(float).eps
+
+
+def _leaves(value):
+    if dataclasses.is_dataclass(value):
+        value = dataclasses.astuple(value)
+    if isinstance(value, tuple):
+        return [leaf for item in value for leaf in _leaves(item)]
+    return [value]
+
+
+def assert_same_verdict(got, want):
+    got_leaves, want_leaves = _leaves(got), _leaves(want)
+    assert len(got_leaves) == len(want_leaves), (got, want)
+    for g, w in zip(got_leaves, want_leaves):
+        if isinstance(w, float) and not isinstance(w, bool):
+            assert g == pytest.approx(w, rel=FLOAT_TOL, abs=FLOAT_TOL), (got, want)
+        else:
+            assert type(g) is type(w) and g == w, (got, want)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 0.7, 1.2])
+@pytest.mark.parametrize("scope", ["O", "D", "MS"])
+def test_engine_matches_per_candidate_loop(scope, tol):
+    got = nogo_search(scope, STATES, PLAN, tol=tol, seed=3)
+    want = _oracle.nogo_search(scope, STATES, PLAN, tol=tol, seed=3)
+    assert_same_verdict(got, want)
+
+
+def test_engine_stops_mid_batch_like_the_loop():
+    # random directions only; at this tolerance the first candidate that
+    # passes all three eigenstate tests lies inside the third batch
+    plan = SamplingPlan(0, 10_014)
+    got = nogo_search("O", STATES, plan, tol=0.9601, seed=3, forcing_samples=0)
+    want = _oracle.nogo_search("O", STATES, plan, tol=0.9601, seed=3, forcing_samples=0)
+    assert got.found and 64 < got.n_candidates_tested < 10_014
+    assert_same_verdict(got, want)
+
+
+@pytest.mark.parametrize("n_samples", [1, 333])
+def test_forcing_check_matches_per_sample_loop(n_samples):
+    got = forcing_check(STATES, n_samples=n_samples, seed=5, tol=0.5)
+    want = _oracle.forcing_check(STATES, n_samples=n_samples, seed=5, tol=0.5)
+    assert_same_verdict(got, want)
+
+
+def test_batched_draws_equal_sequential_draws():
+    # 150 random draws span three batches, the last one partial
+    dim = SDO.total_dim
+    plan = SamplingPlan(70, 150)
+    sequential = np.random.default_rng(3)
+    rows = [sequential.normal(size=3) for _ in range(plan.n_random)]
+    want = np.concatenate([fibonacci_sphere(plan.n_grid), [r / np.linalg.norm(r) for r in rows]])
+    got = np.concatenate(list(_pointer_directions(plan, np.random.default_rng(3))))
+    np.testing.assert_allclose(got, want, rtol=FLOAT_TOL, atol=FLOAT_TOL)
+
+    sequential = np.random.default_rng(3)
+    want = []
+    for _ in range(plan.n_random):
+        raw = sequential.normal(size=(dim, dim)) + 1j * sequential.normal(size=(dim, dim))
+        want.append((raw + raw.conj().T) / 2.0)
+    batches = list(_random_hermitians(plan.n_random, dim, np.random.default_rng(3)))
+    assert [start for start, _ in batches] == [0, 64, 128]
+    assert np.array_equal(np.concatenate([m for _, m in batches]), want)
+
+    sequential = np.random.default_rng(3)
+    want = []
+    for k in range(plan.n_random):
+        g1, g2 = sequential.normal(size=2)
+        raw = sequential.normal(size=(dim, dim)) + 1j * sequential.normal(size=(dim, dim))
+        want.append((g1, g1 if k % 2 == 0 else g2, (raw + raw.conj().T) / 2.0))
+    batches = list(_forcing_samples(plan.n_random, dim, np.random.default_rng(3)))
+    got_g1, got_g2, got_h = (np.concatenate(part) for part in zip(*batches))
+    assert np.array_equal(got_g1, [g1 for g1, _, _ in want])
+    assert np.array_equal(got_g2, [g2 for _, g2, _ in want])
+    assert np.array_equal(got_h, [h for _, _, h in want])
