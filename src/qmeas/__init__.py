@@ -21,7 +21,6 @@ from .hilbert import (
     is_eigenstate,
     outcome_distribution,
     partial_trace,
-    spectral_decompose,
     tensor_state,
 )
 from .model import (
@@ -113,7 +112,6 @@ __all__ = [
     "restrict_stochastic",
     "run_ensemble",
     "sample_event",
-    "spectral_decompose",
     "tensor_state",
     "zoo",
 ]

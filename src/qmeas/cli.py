@@ -27,6 +27,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .discrimination import (
+    ChannelInformationReport,
     SamplingPlan,
     channel_information,
     interference_analysis,
@@ -56,6 +57,7 @@ from .model import (
 
 SEED_ENV_VAR = "QMEAS_SEED"
 MIN_NOGO_EVENTS = 10_000
+MAX_N_ENV = 10  # 3 chain qubits + 10 = 13 qubits, the largest dense state supported
 AMPLITUDE_REJECT = 1e-6
 AMPLITUDE_WARN = 1e-9
 
@@ -215,6 +217,8 @@ def resolve_config(args: argparse.Namespace) -> tuple[ExperimentConfig, list[str
         raise ConfigError("n_events must be >= 1")
     if config.n_env < 0:
         raise ConfigError("n_env must be >= 0")
+    if config.n_env > MAX_N_ENV:
+        raise ConfigError(f"n_env must be <= {MAX_N_ENV}, got {config.n_env}")
     if not 0.0 <= config.env_overlap <= 1.0:
         raise ConfigError("env_overlap must lie in [0, 1]")
     if config.output_format not in ("json", "csv"):
@@ -306,7 +310,7 @@ def _restriction_section(config: ExperimentConfig) -> dict:
     }
 
 
-def _overlaps_section(config: ExperimentConfig) -> dict:
+def _overlaps_section(config: ExperimentConfig, channel: ChannelInformationReport) -> dict:
     a1, a2 = config.a1, config.a2
     pure = prepare_system(a1, a2)
     p1, p2 = config.model().born_weights
@@ -328,7 +332,6 @@ def _overlaps_section(config: ExperimentConfig) -> dict:
     )
     detector_zoo = zoo(chain_layout)
 
-    channel = channel_information((a1, a2))
     return {
         "system_side": {
             "K_S_x": metric(overlap(system_zoo["S_x"], pure, mixed).k_value),
@@ -411,8 +414,7 @@ def _interference_section(config: ExperimentConfig) -> dict:
     return sections
 
 
-def _channel_section(config: ExperimentConfig) -> dict:
-    report = channel_information((config.a1, config.a2))
+def _channel_section(config: ExperimentConfig, report: ChannelInformationReport) -> dict:
     target_min = 1.0 - abs(config.a1) * abs(config.a2)
     return {
         "K_S_z_eigenstate_pair": metric(
@@ -529,10 +531,11 @@ def cmd_simulate(config: ExperimentConfig, warn) -> dict:
 
 def cmd_discriminate(config: ExperimentConfig, warn) -> dict:
     report = empty_report(config, "discriminate")
-    report["overlaps"] = _overlaps_section(config)
+    channel = channel_information((config.a1, config.a2))
+    report["overlaps"] = _overlaps_section(config, channel)
     report["purity"] = _purity_section(config)
     report["interference"] = _interference_section(config)
-    report["channel"] = _channel_section(config)
+    report["channel"] = _channel_section(config, channel)
     return report
 
 
@@ -552,10 +555,11 @@ def cmd_all(config: ExperimentConfig, warn) -> dict:
     report = empty_report(config, "all")
     report["frequency"] = _frequency_section(config)
     report["restriction"] = _restriction_section(config)
-    report["overlaps"] = _overlaps_section(config)
+    channel = channel_information((config.a1, config.a2))
+    report["overlaps"] = _overlaps_section(config, channel)
     report["purity"] = _purity_section(config)
     report["interference"] = _interference_section(config)
-    report["channel"] = _channel_section(config)
+    report["channel"] = _channel_section(config, channel)
     report["nogo"] = _nogo_section(config, warn)
     report["decoherence"] = _decoherence_section(config)
     return report

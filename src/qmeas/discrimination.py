@@ -25,7 +25,9 @@ import numpy as np
 from .hilbert import (
     ATOL_HERMITIAN_INPUT,
     ATOL_IMAG,
+    ATOL_PROB_SUM,
     DEFAULT_EIGENSTATE_TOL,
+    EIG_GROUP_RTOL,
     DensityMatrix,
     InvariantViolation,
     Observable,
@@ -101,6 +103,9 @@ class PhaseScanResult:
     purity: float
 
 
+SCAN_TIE_WINDOW = 1e-12  # batched grid values this close to the extremum are re-scored
+
+
 def _refine_extremum(
     f: Callable[[float], float], lo: float, hi: float, minimize: bool, iters: int = 80
 ) -> tuple[float, float]:
@@ -117,6 +122,88 @@ def _refine_extremum(
     return x, f(x)
 
 
+def _scan_extremum(
+    batched: Callable[[np.ndarray], np.ndarray],
+    scalar: Callable[[float], float],
+    n_grid: int,
+    minimize: bool,
+) -> tuple[float, float]:
+    """Phase in [0, 2 pi) extremizing ``scalar``: grid scan plus refinement.
+
+    ``batched(phases)`` evaluates the objective on a batch of grid points and
+    only ranks them.  The grid points within ``SCAN_TIE_WINDOW`` of its
+    extremum are re-scored with ``scalar``, and the first extremal one under
+    ``scalar`` is refined with ``scalar`` by ternary search, so the result is
+    the one a scan with ``scalar`` alone finds (K(p) = K(p + pi) makes exact
+    grid ties the rule).  Returns the unwrapped phase and its value.
+    """
+    if n_grid < MIN_PHASE_GRID:
+        raise ValueError(f"phase grid needs at least {MIN_PHASE_GRID} points")
+    grid = np.linspace(0.0, 2.0 * math.pi, n_grid, endpoint=False)
+    sign = 1.0 if minimize else -1.0
+    values = sign * np.concatenate(
+        [batched(grid[start:start + size]) for start, size in _chunks(n_grid)]
+    )
+    near = np.flatnonzero(values <= values.min() + SCAN_TIE_WINDOW)
+    best = near[int(np.argmin([sign * scalar(grid[i]) for i in near]))]
+    step = 2.0 * math.pi / n_grid
+    return _refine_extremum(scalar, grid[best] - step, grid[best] + step, minimize)
+
+
+def _phase_stack(
+    at_zero: np.ndarray, at_right: np.ndarray, phases: np.ndarray
+) -> np.ndarray:
+    """cos(p) A + sin(p) B for each phase p, with A, B the family at 0 and pi/2.
+
+    The families scanned here are linear in (cos p, sin p).  The stack only
+    ranks grid points, so the last-digit roundoff of cos(pi/2) in B is
+    harmless.
+    """
+    return (np.cos(phases)[:, None, None] * at_zero
+            + np.sin(phases)[:, None, None] * at_right)
+
+
+_S_A_PARTS = (conjugate_spin_matrix(0.0), conjugate_spin_matrix(math.pi / 2.0))
+
+
+def _eigenvector_weights(vectors: np.ndarray, state: State) -> np.ndarray:
+    """w[n, i] = <v|rho|v> for the i-th eigenvector v (column) of vectors[n]."""
+    if isinstance(state, StateVector):
+        return np.abs(np.einsum("nji,j->ni", vectors.conj(), state.amplitudes)) ** 2
+    weights = np.sum(vectors.conj() * (state.matrix @ vectors), axis=1)
+    if np.max(np.abs(weights.imag)) > ATOL_IMAG:
+        raise InvariantViolation("outcome probability is not real")
+    return weights.real
+
+
+def _overlaps(matrices: np.ndarray, state1: State, state2: State) -> np.ndarray:
+    """Batched ``overlap``: K of the two states under each Hermitian matrix.
+
+    Eigenvalues are grouped by the rule of the ``Observable`` spectrum, and
+    each group's weight is the sum of its eigenvectors' weights.
+    """
+    if state1.layout != state2.layout:
+        raise ValueError(
+            f"layout mismatch: {state1.layout.labels} vs {state2.layout.labels}"
+        )
+    values, vectors = np.linalg.eigh(_observables(matrices))
+    scale = np.maximum(1.0, np.abs(values[:, :-1]))
+    joined = np.diff(values, axis=1) <= EIG_GROUP_RTOL * scale
+    starts = np.flatnonzero(np.column_stack([np.ones(len(values), dtype=bool), ~joined]))
+    rows = starts // values.shape[1]
+    groups = []
+    for state in (state1, state2):
+        weights = np.add.reduceat(_eigenvector_weights(vectors, state).ravel(), starts)
+        if np.any(weights < -ATOL_PROB_SUM):
+            raise InvariantViolation(f"negative outcome probability {weights.min()!r}")
+        weights = np.maximum(weights, 0.0)
+        deviation = np.bincount(rows, weights, minlength=len(values)) - 1.0
+        if np.max(np.abs(deviation)) > ATOL_PROB_SUM:
+            raise InvariantViolation("outcome probabilities do not sum to one")
+        groups.append(weights)
+    return np.bincount(rows, np.minimum(*groups), minlength=len(values))
+
+
 def optimal_phase(rho_s: State, n_grid: int = MIN_PHASE_GRID) -> PhaseScanResult:
     """Grid scan plus local refinement of the purity rate over the phase.
 
@@ -125,14 +212,14 @@ def optimal_phase(rho_s: State, n_grid: int = MIN_PHASE_GRID) -> PhaseScanResult
     and is reported with ``gamma=None``.
     """
     _single_qubit(rho_s)
-    if n_grid < MIN_PHASE_GRID:
-        raise ValueError(f"phase grid needs at least {MIN_PHASE_GRID} points")
-    grid = np.linspace(0.0, 2.0 * math.pi, n_grid, endpoint=False)
-    values = [purity_rate(rho_s, g) for g in grid]
-    best = int(np.argmax(values))
-    step = 2.0 * math.pi / n_grid
-    gamma, purity = _refine_extremum(
-        lambda g: purity_rate(rho_s, g), grid[best] - step, grid[best] + step,
+    # <S_a(gamma)> = cos(gamma) <S_a(0)> + sin(gamma) <S_a(pi/2)>
+    at_zero, at_right = (
+        expectation(rho_s, Observable(rho_s.layout, m, name="S_a")) for m in _S_A_PARTS
+    )
+    gamma, purity = _scan_extremum(
+        lambda gammas: 2.0 * np.abs(np.cos(gammas) * at_zero + np.sin(gammas) * at_right),
+        lambda g: purity_rate(rho_s, g),
+        n_grid,
         minimize=False,
     )
     if purity <= INDETERMINATE_PURITY:
@@ -263,11 +350,6 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     radius = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     theta = golden * k
     return np.stack([z, np.cos(theta) * radius, np.sin(theta) * radius], axis=1)
-
-
-def _pointer_algebra_matrix(direction: np.ndarray) -> np.ndarray:
-    d0, d1, d2 = direction
-    return d0 * PAULI_Z + d1 * PAULI_X + d2 * PAULI_Y
 
 
 _POINTER_BASIS = np.stack([PAULI_Z, PAULI_X, PAULI_Y])
@@ -513,21 +595,21 @@ def interference_phase_scan(
     Scans c1 = exp(i phase) over a uniform grid with local refinement and
     returns (phase, minimal K).
     """
-    if n_grid < MIN_PHASE_GRID:
-        raise ValueError(f"phase grid needs at least {MIN_PHASE_GRID} points")
     pure, mixture = _chain_pair(a, scope)
     factors = ("S", "D", "O") if scope == "MS" else ("S", "D")
+    parts = [
+        interference_operator(pure.layout, c1, factors=factors).matrix for c1 in (1.0, 1j)
+    ]
 
     def k_of(phase: float) -> float:
         op = interference_operator(pure.layout, np.exp(1j * phase), factors=factors)
         return overlap(op, pure, mixture).k_value
 
-    grid = np.linspace(0.0, 2.0 * math.pi, n_grid, endpoint=False)
-    values = [k_of(p) for p in grid]
-    best = int(np.argmin(values))
-    step = 2.0 * math.pi / n_grid
-    phase, k_min = _refine_extremum(
-        k_of, grid[best] - step, grid[best] + step, minimize=True
+    phase, k_min = _scan_extremum(
+        lambda phases: _overlaps(_phase_stack(*parts, phases), pure, mixture),
+        k_of,
+        n_grid,
+        minimize=True,
     )
     return float(phase % (2.0 * math.pi)), float(k_min)
 
@@ -557,8 +639,6 @@ def channel_information(
     sweep, and the minimal detector-side overlap over a sphere of detector
     observables after premeasurement (one: nothing about purity arrives).
     """
-    if n_gamma < MIN_PHASE_GRID:
-        raise ValueError(f"phase grid needs at least {MIN_PHASE_GRID} points")
     if n_directions < MIN_DIRECTIONS:
         raise ValueError(f"direction sweep needs at least {MIN_DIRECTIONS} points")
     a1, a2 = a
@@ -577,22 +657,21 @@ def channel_information(
         op = Observable(system_layout, conjugate_spin_matrix(gamma), name="S_a")
         return overlap(op, pure, mixture).k_value
 
-    grid = np.linspace(0.0, 2.0 * math.pi, n_gamma, endpoint=False)
-    values = [k_of_gamma(g) for g in grid]
-    best = int(np.argmin(values))
-    step = 2.0 * math.pi / n_gamma
-    gamma, pre_k = _refine_extremum(
-        k_of_gamma, grid[best] - step, grid[best] + step, minimize=True
+    gamma, pre_k = _scan_extremum(
+        lambda gammas: _overlaps(_phase_stack(*_S_A_PARTS, gammas), pure, mixture),
+        k_of_gamma,
+        n_gamma,
+        minimize=True,
     )
 
     pure_sd, mixed_sd = _chain_pair((a1, a2), "SD")
     pure_d = partial_trace(pure_sd, [DETECTOR])
     mixed_d = partial_trace(mixed_sd, [DETECTOR])
-    detector_layout = SpaceLayout.of(DETECTOR)
+    directions = fibonacci_sphere(n_directions)
     post_k = 1.0
-    for row in fibonacci_sphere(n_directions):
-        op = Observable(detector_layout, _pointer_algebra_matrix(row), name="Q(n)")
-        post_k = min(post_k, overlap(op, pure_d, mixed_d).k_value)
+    for start, size in _chunks(n_directions):
+        matrices = _pointer_algebra_matrices(directions[start:start + size])
+        post_k = min(post_k, float(_overlaps(matrices, pure_d, mixed_d).min()))
 
     return ChannelInformationReport(
         k_sz_eigenstates=k_sz,

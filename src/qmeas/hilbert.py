@@ -318,11 +318,6 @@ def partial_trace(state: State, keep_labels: Sequence[str]) -> DensityMatrix:
     return DensityMatrix(sub, reduced)
 
 
-def spectral_decompose(matrix, layout: SpaceLayout) -> Observable:
-    """Observable with grouped spectrum; rejects non-Hermitian input."""
-    return Observable(layout, matrix)
-
-
 def expectation(state: State, op: Observable) -> float:
     """<psi|G|psi> or Tr(rho G); tiny imaginary residue is discarded."""
     _require_same_layout(state, op)

@@ -1,28 +1,58 @@
-"""Per-candidate reference implementation of the no-go search and forcing check.
+"""Per-candidate and per-point reference implementations.
 
-One validated ``Observable`` per candidate, embedded into the full layout and
-tested with the scalar ``is_eigenstate``: the straightforward loop that the
-batched engine in ``qmeas.discrimination`` must reproduce draw for draw.
+The no-go search and forcing check build one validated ``Observable`` per
+candidate, embedded into the full layout and tested with the scalar
+``is_eigenstate``: the straightforward loop that the batched engine in
+``qmeas.discrimination`` must reproduce draw for draw.
+
+The phase scans (``optimal_phase``, ``interference_phase_scan``,
+``channel_information``) evaluate the scalar ``purity_rate`` or ``overlap``
+at every grid point and every sphere direction, then refine around the
+first grid extremum: the loops the batched scans must reproduce.
 """
+
+import math
 
 import numpy as np
 
 from qmeas.discrimination import (
     DEGENERATE_AMPLITUDE,
     DISTINCTNESS_THRESHOLD,
+    INDETERMINATE_PURITY,
+    MIN_DIRECTIONS,
     MIN_NOGO_SAMPLES,
+    MIN_PHASE_GRID,
+    ChannelInformationReport,
     DiscriminationVerdict,
     ForcingCheck,
+    PhaseScanResult,
     fibonacci_sphere,
+    overlap,
+    purity_rate,
 )
+from qmeas.ensembles import Gemenge, mixture_density
 from qmeas.hilbert import (
     DEFAULT_EIGENSTATE_TOL,
     Observable,
     SpaceLayout,
     embed_operator,
+    expectation,
     is_eigenstate,
+    partial_trace,
 )
-from qmeas.model import DETECTOR, OBSERVER, PAULI_X, PAULI_Y, PAULI_Z, zoo
+from qmeas.model import (
+    DETECTOR,
+    OBSERVER,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    branch_state,
+    conjugate_spin_matrix,
+    interference_operator,
+    measurement_chain_state,
+    prepare_system,
+    zoo,
+)
 
 
 def _pointer_algebra_matrix(direction):
@@ -155,4 +185,120 @@ def nogo_search(layout_scope, states, sampling, tol=DEFAULT_EIGENSTATE_TOL,
         max_min_gap=max_min_gap,
         out_of_regime=False,
         forcing=forcing,
+    )
+
+
+def _refine_extremum(f, lo, hi, minimize, iters=80):
+    for _ in range(iters):
+        third = (hi - lo) / 3.0
+        m1, m2 = lo + third, hi - third
+        f1, f2 = f(m1), f(m2)
+        better = f1 < f2 if minimize else f1 > f2
+        if better:
+            hi = m2
+        else:
+            lo = m1
+    x = 0.5 * (lo + hi)
+    return x, f(x)
+
+
+def optimal_phase(rho_s, n_grid=MIN_PHASE_GRID):
+    if n_grid < MIN_PHASE_GRID:
+        raise ValueError(f"phase grid needs at least {MIN_PHASE_GRID} points")
+    grid = np.linspace(0.0, 2.0 * math.pi, n_grid, endpoint=False)
+    values = [purity_rate(rho_s, g) for g in grid]
+    best = int(np.argmax(values))
+    step = 2.0 * math.pi / n_grid
+    gamma, purity = _refine_extremum(
+        lambda g: purity_rate(rho_s, g), grid[best] - step, grid[best] + step,
+        minimize=False,
+    )
+    if purity <= INDETERMINATE_PURITY:
+        return PhaseScanResult(gamma=None, purity=purity)
+    op = Observable(rho_s.layout, conjugate_spin_matrix(gamma), name="S_a")
+    if expectation(rho_s, op) < 0.0:
+        gamma -= math.pi
+    return PhaseScanResult(gamma=float(gamma % (2.0 * math.pi)), purity=purity)
+
+
+def _chain_pair(a, scope):
+    a1, a2 = a
+    pure = measurement_chain_state(a1, a2, include_observer=scope == "MS")
+    layout = pure.layout
+    mixture = mixture_density(
+        Gemenge(
+            (
+                (branch_state(1, layout), abs(a1) ** 2),
+                (branch_state(2, layout), abs(a2) ** 2),
+            )
+        )
+    )
+    return pure, mixture
+
+
+def interference_phase_scan(a, scope="MS", n_grid=MIN_PHASE_GRID):
+    if n_grid < MIN_PHASE_GRID:
+        raise ValueError(f"phase grid needs at least {MIN_PHASE_GRID} points")
+    pure, mixture = _chain_pair(a, scope)
+    factors = ("S", "D", "O") if scope == "MS" else ("S", "D")
+
+    def k_of(phase):
+        op = interference_operator(pure.layout, np.exp(1j * phase), factors=factors)
+        return overlap(op, pure, mixture).k_value
+
+    grid = np.linspace(0.0, 2.0 * math.pi, n_grid, endpoint=False)
+    values = [k_of(p) for p in grid]
+    best = int(np.argmin(values))
+    step = 2.0 * math.pi / n_grid
+    phase, k_min = _refine_extremum(
+        k_of, grid[best] - step, grid[best] + step, minimize=True
+    )
+    return float(phase % (2.0 * math.pi)), float(k_min)
+
+
+def channel_information(a, n_gamma=MIN_PHASE_GRID, n_directions=MIN_DIRECTIONS):
+    if n_gamma < MIN_PHASE_GRID:
+        raise ValueError(f"phase grid needs at least {MIN_PHASE_GRID} points")
+    if n_directions < MIN_DIRECTIONS:
+        raise ValueError(f"direction sweep needs at least {MIN_DIRECTIONS} points")
+    a1, a2 = a
+    system_layout = SpaceLayout.of("S")
+    sz = Observable(system_layout, PAULI_Z / 2.0, name="S_z")
+    up = prepare_system(1, 0)
+    down = prepare_system(0, 1)
+    k_sz = overlap(sz, up, down).k_value
+
+    pure = prepare_system(a1, a2)
+    mixture = mixture_density(
+        Gemenge(((up, abs(a1) ** 2), (down, abs(a2) ** 2)))
+    )
+
+    def k_of_gamma(gamma):
+        op = Observable(system_layout, conjugate_spin_matrix(gamma), name="S_a")
+        return overlap(op, pure, mixture).k_value
+
+    grid = np.linspace(0.0, 2.0 * math.pi, n_gamma, endpoint=False)
+    values = [k_of_gamma(g) for g in grid]
+    best = int(np.argmin(values))
+    step = 2.0 * math.pi / n_gamma
+    gamma, pre_k = _refine_extremum(
+        k_of_gamma, grid[best] - step, grid[best] + step, minimize=True
+    )
+
+    pure_sd, mixed_sd = _chain_pair((a1, a2), "SD")
+    pure_d = partial_trace(pure_sd, [DETECTOR])
+    mixed_d = partial_trace(mixed_sd, [DETECTOR])
+    detector_layout = SpaceLayout.of(DETECTOR)
+    post_k = 1.0
+    for row in fibonacci_sphere(n_directions):
+        op = Observable(detector_layout, _pointer_algebra_matrix(row), name="Q(n)")
+        post_k = min(post_k, overlap(op, pure_d, mixed_d).k_value)
+
+    return ChannelInformationReport(
+        k_sz_eigenstates=k_sz,
+        pre_channel_gamma=float(gamma % (2.0 * math.pi)),
+        pre_channel_k_min=float(pre_k),
+        post_channel_k_min=float(post_k),
+        n_gamma=n_gamma,
+        n_directions=n_directions,
     )

@@ -370,6 +370,32 @@ def test_decohere_requires_environment(capsys):
     assert "n_env" in err
 
 
+@pytest.mark.parametrize("n_env", ["11", "30"])
+def test_n_env_above_ceiling_exits_one_naming_the_key(n_env, capsys):
+    # 30 would ask for a 33-qubit state; the check must come before any is built
+    rc, out, err = run_main(["decohere", "--n-env", n_env], capsys)
+    assert rc == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "n_env" in err and "Traceback" not in err
+
+
+def test_n_env_ceiling_applies_to_config_files(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n_env": 11}))
+    rc, _, err = run_main(["all", "--config", str(path)], capsys)
+    assert rc == 1
+    assert err.count("\n") == 1 and "n_env" in err
+
+
+def test_n_env_at_ceiling_runs(capsys):
+    rc, out, _ = run_main(["decohere", "--n-env", "10", "--env-overlap", "0.5"], capsys)
+    assert rc == 0
+    section = json.loads(out)["decoherence"]
+    assert section["n_env"] == 10
+    assert section["coherence_factor"]["passed"] is True
+
+
 def test_nogo_rejects_small_sample_count(capsys):
     rc, _, err = run_main(["nogo", "--events", "100"], capsys)
     assert rc == 1

@@ -28,7 +28,6 @@ from qmeas.hilbert import (
     basis_state,
     is_eigenstate,
     partial_trace,
-    spectral_decompose,
 )
 from qmeas.model import (
     branch_state,
@@ -129,11 +128,11 @@ def test_overlap_range_and_symmetry(seed, n_factors):
     rng = np.random.default_rng(seed)
     layout = SpaceLayout.of(*[f"F{i}" for i in range(n_factors)])
     dim = layout.total_dim
-    obs = spectral_decompose(
+    obs = Observable(
+        layout,
         (lambda m: (m + m.conj().T) / 2)(
             rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         ),
-        layout,
     )
     rho1 = DensityMatrix(layout, random_density(rng, dim))
     rho2 = DensityMatrix(layout, random_density(rng, dim))

@@ -1,8 +1,9 @@
 """Reports at small fixed configs against the committed reports in ``golden/``.
 
 The files were written by the per-candidate implementation before the
-no-go search was batched; a refactor must reproduce them, including the
-order in which random candidates are drawn.  Non-floats must match exactly
+no-go search and the phase scans were batched; a refactor must reproduce
+them, including the order in which random candidates are drawn and the
+phases the scans report.  Non-floats must match exactly
 and floats to within 1e-13 (relative or absolute).  To regenerate one after
 a deliberate report change, run the ``argv`` below with ``--out`` pointing
 into ``tests/golden/``.
@@ -24,6 +25,11 @@ CASES = {
     "nogo_seed11": ["nogo", "--a1", "0.6", "--a2", "0,0.8", "--events", "10000", "--seed", "11"],
     "simulate": ["simulate", "--events", "10000", "--seed", "5"],
     "discriminate": ["discriminate", "--gamma", "0.3", "--c-phase", "0.7"],
+    "discriminate_complex": [
+        "discriminate", "--a1", "0.28", "--a2", "0,0.96", "--gamma", "2", "--c-phase", "0.7",
+    ],
+    # a1 a2 = 0: every scan is flat, so its grid ties decide the reported phases
+    "discriminate_degenerate": ["discriminate", "--a1", "1", "--a2", "0"],
     "decohere": ["decohere", "--n-env", "4", "--env-overlap", "0.5"],
 }
 

@@ -14,7 +14,6 @@ from qmeas.hilbert import (
     is_eigenstate,
     outcome_distribution,
     partial_trace,
-    spectral_decompose,
     tensor_state,
 )
 
@@ -199,14 +198,14 @@ def test_partial_trace_output_invariants(seed, n_factors):
 # -------------------------------------------------------- spectral analysis
 
 def test_spectrum_of_sigma_z():
-    obs = spectral_decompose(Z, S)
+    obs = Observable(S, Z)
     assert obs.eigenvalues == (-1.0, 1.0)
     assert np.allclose(obs.spectrum[0].projector, [[0, 0], [0, 1]])
     assert np.allclose(obs.spectrum[1].projector, [[1, 0], [0, 0]])
 
 
 def test_spectrum_of_identity_merges_degeneracy():
-    obs = spectral_decompose(np.eye(4), SD)
+    obs = Observable(SD, np.eye(4))
     assert len(obs.spectrum) == 1
     entry = obs.spectrum[0]
     assert entry.eigenvalue == pytest.approx(1.0)
@@ -216,7 +215,7 @@ def test_spectrum_of_identity_merges_degeneracy():
 
 def test_spectrum_groups_nearly_degenerate_eigenvalues():
     m = np.diag([1.0, 1.0 + 1e-12, 2.0, 3.0])
-    obs = spectral_decompose(m, SD)
+    obs = Observable(SD, m)
     assert [e.multiplicity for e in obs.spectrum] == [2, 1, 1]
 
 
@@ -229,15 +228,15 @@ def test_interference_matrix_spectrum_contains_plus_minus_one():
     direct = np.linalg.eigvalsh(b)
     assert np.allclose(direct, [-1, 0, 0, 0, 0, 0, 0, 1], atol=1e-12)
 
-    obs = spectral_decompose(b, SDO)
+    obs = Observable(SDO, b)
     assert obs.eigenvalues == pytest.approx((-1.0, 0.0, 1.0))
     assert [e.multiplicity for e in obs.spectrum] == [1, 6, 1]
 
 
-def test_spectral_decompose_rejects_non_hermitian():
+def test_observable_rejects_non_hermitian():
     m = np.array([[0, 1], [0, 0]], dtype=complex)
     with pytest.raises(InvariantViolation, match="Hermitian"):
-        spectral_decompose(m, S)
+        Observable(S, m)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
@@ -246,7 +245,7 @@ def test_spectral_reconstruction_random_hermitian(seed, n_factors):
     rng = np.random.default_rng(seed)
     layout = SpaceLayout.of(*[f"F{i}" for i in range(n_factors)])
     m = random_hermitian(rng, layout.total_dim)
-    obs = spectral_decompose(m, layout)
+    obs = Observable(layout, m)
     rebuilt = sum(e.eigenvalue * e.projector for e in obs.spectrum)
     scale = max(np.linalg.norm(m), 1.0)
     assert np.linalg.norm(rebuilt - obs.matrix) / scale <= 1e-9
@@ -257,7 +256,7 @@ def test_spectral_reconstruction_random_hermitian(seed, n_factors):
 def test_projector_algebra(seed, n_factors):
     rng = np.random.default_rng(seed)
     layout = SpaceLayout.of(*[f"F{i}" for i in range(n_factors)])
-    obs = spectral_decompose(random_hermitian(rng, layout.total_dim), layout)
+    obs = Observable(layout, random_hermitian(rng, layout.total_dim))
     projectors = [e.projector for e in obs.spectrum]
     total = sum(projectors)
     assert np.max(np.abs(total - np.eye(layout.total_dim))) <= 1e-10
@@ -350,7 +349,7 @@ def test_outcome_distribution_branch_mixture_under_joint_flip():
     b[0, 7] = b[7, 0] = 1.0
     rho = np.zeros((8, 8), dtype=complex)
     rho[0, 0] = rho[7, 7] = 0.5
-    dist = outcome_distribution(DensityMatrix(SDO, rho), spectral_decompose(b, SDO))
+    dist = outcome_distribution(DensityMatrix(SDO, rho), Observable(SDO, b))
     weights = dict((round(lam, 9), w) for lam, w in dist)
     assert weights[-1.0] == pytest.approx(0.5, abs=1e-12)
     assert weights[1.0] == pytest.approx(0.5, abs=1e-12)
@@ -369,7 +368,7 @@ def test_outcome_distribution_identity():
 def test_outcome_distribution_matches_projector_weights(seed, n_factors):
     rng = np.random.default_rng(seed)
     layout = SpaceLayout.of(*[f"F{i}" for i in range(n_factors)])
-    obs = spectral_decompose(random_hermitian(rng, layout.total_dim), layout)
+    obs = Observable(layout, random_hermitian(rng, layout.total_dim))
     psi = ket(layout, random_pure(rng, layout.total_dim))
     dist = outcome_distribution(psi, obs)
     assert abs(sum(w for _, w in dist) - 1.0) <= 1e-10
