@@ -24,7 +24,6 @@ from .hilbert import (
     tensor_state,
 )
 from .model import (
-    ModelConfig,
     ObservableZoo,
     branch_state,
     decohere,
@@ -58,6 +57,7 @@ from .discrimination import (
     eigen_discrimination_test,
     interference_analysis,
     interference_phase_scan,
+    matched_pair,
     nogo_search,
     optimal_phase,
     overlap,
@@ -76,7 +76,6 @@ __all__ = [
     "Gemenge",
     "InterferenceReport",
     "InvariantViolation",
-    "ModelConfig",
     "Observable",
     "ObservableZoo",
     "OverlapReport",
@@ -96,6 +95,7 @@ __all__ = [
     "interference_operator",
     "interference_phase_scan",
     "is_eigenstate",
+    "matched_pair",
     "measurement_chain_state",
     "mixture_density",
     "ms_layout",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -27,18 +28,19 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .discrimination import (
-    ChannelInformationReport,
+    DEGENERATE_AMPLITUDE,
+    MIN_NOGO_SAMPLES,
     SamplingPlan,
     channel_information,
     interference_analysis,
     interference_phase_scan,
+    matched_pair,
     nogo_search,
     optimal_phase,
     overlap,
     purity_rate,
 )
 from .ensembles import (
-    Gemenge,
     mixture_density,
     restrict_statistical,
     restrict_stochastic,
@@ -46,31 +48,17 @@ from .ensembles import (
 )
 from .hilbert import InvariantViolation, partial_trace
 from .model import (
-    ModelConfig,
     branch_state,
     decohere,
     measurement_chain_state,
     ms_layout,
-    prepare_system,
     zoo,
 )
 
 SEED_ENV_VAR = "QMEAS_SEED"
-MIN_NOGO_EVENTS = 10_000
 MAX_N_ENV = 10  # 3 chain qubits + 10 = 13 qubits, the largest dense state supported
 AMPLITUDE_REJECT = 1e-6
 AMPLITUDE_WARN = 1e-9
-
-REPORT_SECTIONS = (
-    "frequency",
-    "restriction",
-    "overlaps",
-    "purity",
-    "interference",
-    "channel",
-    "nogo",
-    "decoherence",
-)
 
 
 class ConfigError(Exception):
@@ -103,15 +91,6 @@ class ExperimentConfig:
     @property
     def c1(self) -> complex:
         return complex(np.exp(1j * self.c_phase))
-
-    def model(self) -> ModelConfig:
-        return ModelConfig(
-            a1=self.a1,
-            a2=self.a2,
-            n_env=self.n_env,
-            env_overlap=self.env_overlap,
-            rng_seed=self.rng_seed,
-        )
 
 
 _INT_FIELDS = {"n_env", "n_events", "rng_seed"}
@@ -213,6 +192,8 @@ def resolve_config(args: argparse.Namespace) -> tuple[ExperimentConfig, list[str
     config.a2_re /= norm
     config.a2_im /= norm
 
+    if not 0 <= config.rng_seed < 2**64:
+        raise ConfigError(f"rng_seed must lie in [0, 2**64), got {config.rng_seed}")
     if config.n_events < 1:
         raise ConfigError("n_events must be >= 1")
     if config.n_env < 0:
@@ -267,9 +248,8 @@ def empty_report(config: ExperimentConfig, command: str) -> dict:
     return report
 
 
-def _frequency_section(config: ExperimentConfig) -> dict:
-    model = config.model()
-    report = run_ensemble(model, config.n_events)
+def _frequency_section(config: ExperimentConfig, *_) -> dict:
+    report = run_ensemble(config.a1, config.a2, config.n_events, seed=config.rng_seed)
     branches = []
     for i in range(2):
         p = report.born_probabilities[i]
@@ -293,14 +273,14 @@ def _frequency_section(config: ExperimentConfig) -> dict:
     }
 
 
-def _restriction_section(config: ExperimentConfig) -> dict:
+def _restriction_section(config: ExperimentConfig, *_) -> dict:
     psi = measurement_chain_state(config.a1, config.a2)
     statistical = restrict_statistical(psi)
     stochastic = restrict_stochastic(psi)
     diff = float(
         np.max(np.abs(mixture_density(stochastic).matrix - statistical.matrix))
     )
-    p1, p2 = config.model().born_weights
+    p1, p2 = abs(config.a1) ** 2, abs(config.a2) ** 2
     return {
         "observer_weights": [
             metric(statistical.matrix[0, 0].real, target=p1, tolerance=1e-12),
@@ -310,28 +290,14 @@ def _restriction_section(config: ExperimentConfig) -> dict:
     }
 
 
-def _overlaps_section(config: ExperimentConfig, channel: ChannelInformationReport) -> dict:
-    a1, a2 = config.a1, config.a2
-    pure = prepare_system(a1, a2)
-    p1, p2 = config.model().born_weights
-    mixed = mixture_density(
-        Gemenge(((prepare_system(1, 0), p1), (prepare_system(0, 1), p2)))
-    )
+def _overlaps_section(config: ExperimentConfig, _warn, channel) -> dict:
+    a = (config.a1, config.a2)
+    pure, mixed = matched_pair(a, "S")
     system_zoo = zoo(pure.layout, gamma=config.gamma)
-    target_min = 1.0 - abs(a1) * abs(a2)
-
-    chain_pure = measurement_chain_state(a1, a2, include_observer=False)
-    chain_layout = chain_pure.layout
-    chain_mixed = mixture_density(
-        Gemenge(
-            (
-                (branch_state(1, chain_layout), p1),
-                (branch_state(2, chain_layout), p2),
-            )
-        )
-    )
-    detector_zoo = zoo(chain_layout)
-
+    chain_pure, chain_mixed = matched_pair(a, "SD")
+    detector_zoo = zoo(chain_pure.layout)
+    target_min = 1.0 - abs(config.a1) * abs(config.a2)
+    report = channel()
     return {
         "system_side": {
             "K_S_x": metric(overlap(system_zoo["S_x"], pure, mixed).k_value),
@@ -340,49 +306,37 @@ def _overlaps_section(config: ExperimentConfig, channel: ChannelInformationRepor
                 overlap(system_zoo["S_a"], pure, mixed).k_value
             ),
             "K_min_over_gamma_sweep": metric(
-                channel.pre_channel_k_min, target=target_min, tolerance=1e-9
+                report.pre_channel_k_min, target=target_min, tolerance=1e-9
             ),
-            "gamma_at_min": channel.pre_channel_gamma,
+            "gamma_at_min": report.pre_channel_gamma,
         },
         "detector_side": {
-            "K_Q": metric(
-                overlap(detector_zoo["Q"], chain_pure, chain_mixed).k_value,
-                target=1.0,
-                tolerance=1e-9,
-            ),
-            "K_Q_x": metric(
-                overlap(detector_zoo["Q_x"], chain_pure, chain_mixed).k_value,
-                target=1.0,
-                tolerance=1e-9,
-            ),
-            "K_Q_y": metric(
-                overlap(detector_zoo["Q_y"], chain_pure, chain_mixed).k_value,
-                target=1.0,
-                tolerance=1e-9,
-            ),
+            **{
+                f"K_{name}": metric(
+                    overlap(detector_zoo[name], chain_pure, chain_mixed).k_value,
+                    target=1.0,
+                    tolerance=1e-9,
+                )
+                for name in ("Q", "Q_x", "Q_y")
+            },
             "K_min_over_direction_sweep": metric(
-                channel.post_channel_k_min, target=1.0, tolerance=1e-9
+                report.post_channel_k_min, target=1.0, tolerance=1e-9
             ),
-            "n_directions": channel.n_directions,
+            "n_directions": report.n_directions,
         },
         "input_eigenstate_pair_K_S_z": metric(
-            channel.k_sz_eigenstates, target=0.0, tolerance=1e-12
+            report.k_sz_eigenstates, target=0.0, tolerance=1e-12
         ),
     }
 
 
-def _purity_section(config: ExperimentConfig) -> dict:
-    a1, a2 = config.a1, config.a2
-    pure = prepare_system(a1, a2)
-    p1, p2 = config.model().born_weights
-    mixed = mixture_density(
-        Gemenge(((prepare_system(1, 0), p1), (prepare_system(0, 1), p2)))
-    )
+def _purity_section(config: ExperimentConfig, *_) -> dict:
+    pure, mixed = matched_pair((config.a1, config.a2), "S")
     scan = optimal_phase(pure)
     return {
         "pure_r_p_at_gamma": metric(purity_rate(pure, config.gamma)),
         "pure_r_p_optimal": metric(
-            scan.purity, target=2.0 * abs(a1) * abs(a2), tolerance=1e-9
+            scan.purity, target=2.0 * abs(config.a1) * abs(config.a2), tolerance=1e-9
         ),
         "optimal_gamma": scan.gamma,
         "mixture_r_p_at_gamma": metric(
@@ -391,7 +345,7 @@ def _purity_section(config: ExperimentConfig) -> dict:
     }
 
 
-def _interference_section(config: ExperimentConfig) -> dict:
+def _interference_section(config: ExperimentConfig, *_) -> dict:
     a = (config.a1, config.a2)
     target_min = 1.0 - abs(config.a1) * abs(config.a2)
     sections = {}
@@ -414,8 +368,9 @@ def _interference_section(config: ExperimentConfig) -> dict:
     return sections
 
 
-def _channel_section(config: ExperimentConfig, report: ChannelInformationReport) -> dict:
+def _channel_section(config: ExperimentConfig, _warn, channel) -> dict:
     target_min = 1.0 - abs(config.a1) * abs(config.a2)
+    report = channel()
     return {
         "K_S_z_eigenstate_pair": metric(
             report.k_sz_eigenstates, target=0.0, tolerance=1e-12
@@ -461,14 +416,14 @@ def _verdict_dict(verdict) -> dict:
     }
 
 
-def _nogo_section(config: ExperimentConfig, warn) -> dict:
-    if config.n_events < MIN_NOGO_EVENTS:
+def _nogo_section(config: ExperimentConfig, warn, _channel) -> dict:
+    if config.n_events < MIN_NOGO_SAMPLES:
         raise ConfigError(
-            f"the no-go search needs at least {MIN_NOGO_EVENTS} samples; "
+            f"the no-go search needs at least {MIN_NOGO_SAMPLES} samples; "
             f"got n_events={config.n_events}"
         )
     a1, a2 = config.a1, config.a2
-    if abs(a1 * a2) <= 1e-12:
+    if abs(a1 * a2) <= DEGENERATE_AMPLITUDE:
         warn("a1*a2 = 0: out of the no-go regime, scans are skipped")
     layout = ms_layout()
     states = (
@@ -489,7 +444,7 @@ def _nogo_section(config: ExperimentConfig, warn) -> dict:
     return {"sample_count": config.n_events, "scopes": scopes}
 
 
-def _decoherence_section(config: ExperimentConfig) -> dict:
+def _decoherence_section(config: ExperimentConfig, *_) -> dict:
     if config.n_env < 1:
         raise ConfigError("decoherence analysis needs n_env >= 1")
     a1, a2 = config.a1, config.a2
@@ -497,7 +452,7 @@ def _decoherence_section(config: ExperimentConfig) -> dict:
     psi = measurement_chain_state(a1, a2)
     tagged = decohere(psi, config.n_env, config.env_overlap)
     reduced = partial_trace(tagged, ["S", "D", "O"])
-    if abs(a1 * a2) > 1e-12:
+    if abs(a1 * a2) > DEGENERATE_AMPLITUDE:
         factor = reduced.matrix[0, 7] / (a1 * np.conj(a2))
         coherence = metric(factor.real, target=predicted, tolerance=1e-10)
         coherence_imag = metric(factor.imag, target=0.0, tolerance=1e-10)
@@ -522,56 +477,38 @@ def _decoherence_section(config: ExperimentConfig) -> dict:
     }
 
 
-def cmd_simulate(config: ExperimentConfig, warn) -> dict:
-    report = empty_report(config, "simulate")
-    report["frequency"] = _frequency_section(config)
-    report["restriction"] = _restriction_section(config)
-    return report
-
-
-def cmd_discriminate(config: ExperimentConfig, warn) -> dict:
-    report = empty_report(config, "discriminate")
-    channel = channel_information((config.a1, config.a2))
-    report["overlaps"] = _overlaps_section(config, channel)
-    report["purity"] = _purity_section(config)
-    report["interference"] = _interference_section(config)
-    report["channel"] = _channel_section(config, channel)
-    return report
-
-
-def cmd_nogo(config: ExperimentConfig, warn) -> dict:
-    report = empty_report(config, "nogo")
-    report["nogo"] = _nogo_section(config, warn)
-    return report
-
-
-def cmd_decohere(config: ExperimentConfig, warn) -> dict:
-    report = empty_report(config, "decohere")
-    report["decoherence"] = _decoherence_section(config)
-    return report
-
-
-def cmd_all(config: ExperimentConfig, warn) -> dict:
-    report = empty_report(config, "all")
-    report["frequency"] = _frequency_section(config)
-    report["restriction"] = _restriction_section(config)
-    channel = channel_information((config.a1, config.a2))
-    report["overlaps"] = _overlaps_section(config, channel)
-    report["purity"] = _purity_section(config)
-    report["interference"] = _interference_section(config)
-    report["channel"] = _channel_section(config, channel)
-    report["nogo"] = _nogo_section(config, warn)
-    report["decoherence"] = _decoherence_section(config)
-    return report
-
-
-_COMMANDS = {
-    "simulate": cmd_simulate,
-    "discriminate": cmd_discriminate,
-    "nogo": cmd_nogo,
-    "decohere": cmd_decohere,
-    "all": cmd_all,
+# Sections each command fills, in report order.  Every builder is called as
+# builder(config, warn, channel); channel() returns the run's one
+# channel_information report, computed on first use.
+_SECTIONS = {
+    "simulate": (("frequency", _frequency_section), ("restriction", _restriction_section)),
+    "discriminate": (
+        ("overlaps", _overlaps_section),
+        ("purity", _purity_section),
+        ("interference", _interference_section),
+        ("channel", _channel_section),
+    ),
+    "nogo": (("nogo", _nogo_section),),
+    "decohere": (("decoherence", _decoherence_section),),
 }
+_SECTIONS["all"] = sum(_SECTIONS.values(), ())  # every other command's sections, in order
+REPORT_SECTIONS = tuple(section for section, _ in _SECTIONS["all"])
+
+
+def _command(name: str):
+    """The ``(config, warn) -> report`` runner of one command."""
+
+    def run(config: ExperimentConfig, warn) -> dict:
+        report = empty_report(config, name)
+        channel = functools.cache(lambda: channel_information((config.a1, config.a2)))
+        for section, builder in _SECTIONS[name]:
+            report[section] = builder(config, warn, channel)
+        return report
+
+    return run
+
+
+_COMMANDS = {name: _command(name) for name in _SECTIONS}
 
 
 # ------------------------------------------------------------- serialization

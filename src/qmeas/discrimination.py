@@ -63,6 +63,25 @@ MIN_DIRECTIONS = 1000
 ATOL_ORTHONORMAL = 1e-9
 
 
+def matched_pair(a: tuple[complex, complex], scope: str) -> tuple[StateVector, DensityMatrix]:
+    """Pure state for amplitudes ``a`` and the matched branch mixture.
+
+    The mixture holds the branch states with the Born weights |a1|^2 and
+    |a2|^2.  ``scope`` picks the factors: "S" the system qubit alone, "SD"
+    system and detector after premeasurement, "MS" the whole chain.
+    """
+    if scope not in ("S", "SD", "MS"):
+        raise ValueError("scope must be one of 'S', 'SD', 'MS'")
+    a1, a2 = a
+    if scope == "S":
+        pure = prepare_system(a1, a2)
+    else:
+        pure = measurement_chain_state(a1, a2, include_observer=scope == "MS")
+    members = ((branch_state(1, pure.layout), abs(a1) ** 2),
+               (branch_state(2, pure.layout), abs(a2) ** 2))
+    return pure, mixture_density(Gemenge(members))
+
+
 @dataclass(frozen=True)
 class OverlapReport:
     """Outcome-distribution intersection of two states under one observable."""
@@ -496,7 +515,7 @@ def nogo_search(
             yield _apply(matrices, vectors), [*structured, "I"]
             for start, matrices in _random_hermitians(sampling.n_random, dim, rng):
                 params = [f"random[{k}]" for k in range(start, start + len(matrices))]
-                yield _apply(_observables(matrices), vectors), params
+                yield _apply(matrices, vectors), params
 
     if layout_scope == "MS":
         family = (
@@ -545,23 +564,6 @@ class InterferenceReport:
     k_value: float
 
 
-def _chain_pair(a: tuple[complex, complex], scope: str):
-    """Premeasured pure state and matched branch mixture for a scope."""
-    a1, a2 = a
-    include_observer = scope == "MS"
-    pure = measurement_chain_state(a1, a2, include_observer=include_observer)
-    layout = pure.layout
-    mixture = mixture_density(
-        Gemenge(
-            (
-                (branch_state(1, layout), abs(a1) ** 2),
-                (branch_state(2, layout), abs(a2) ** 2),
-            )
-        )
-    )
-    return pure, mixture
-
-
 def interference_analysis(
     c1: complex, a: tuple[complex, complex], scope: str = "MS"
 ) -> InterferenceReport:
@@ -574,7 +576,7 @@ def interference_analysis(
     """
     if scope not in ("MS", "SD"):
         raise ValueError("scope must be 'MS' or 'SD'")
-    pure, mixture = _chain_pair(a, scope)
+    pure, mixture = matched_pair(a, scope)
     factors = ("S", "D", "O") if scope == "MS" else ("S", "D")
     op = interference_operator(pure.layout, c1, factors=factors)
     return InterferenceReport(
@@ -595,7 +597,7 @@ def interference_phase_scan(
     Scans c1 = exp(i phase) over a uniform grid with local refinement and
     returns (phase, minimal K).
     """
-    pure, mixture = _chain_pair(a, scope)
+    pure, mixture = matched_pair(a, scope)
     factors = ("S", "D", "O") if scope == "MS" else ("S", "D")
     parts = [
         interference_operator(pure.layout, c1, factors=factors).matrix for c1 in (1.0, 1j)
@@ -641,17 +643,11 @@ def channel_information(
     """
     if n_directions < MIN_DIRECTIONS:
         raise ValueError(f"direction sweep needs at least {MIN_DIRECTIONS} points")
-    a1, a2 = a
     system_layout = SpaceLayout.of("S")
     sz = Observable(system_layout, PAULI_Z / 2.0, name="S_z")
-    up = prepare_system(1, 0)
-    down = prepare_system(0, 1)
-    k_sz = overlap(sz, up, down).k_value
+    k_sz = overlap(sz, prepare_system(1, 0), prepare_system(0, 1)).k_value
 
-    pure = prepare_system(a1, a2)
-    mixture = mixture_density(
-        Gemenge(((up, abs(a1) ** 2), (down, abs(a2) ** 2)))
-    )
+    pure, mixture = matched_pair(a, "S")
 
     def k_of_gamma(gamma: float) -> float:
         op = Observable(system_layout, conjugate_spin_matrix(gamma), name="S_a")
@@ -664,7 +660,7 @@ def channel_information(
         minimize=True,
     )
 
-    pure_sd, mixed_sd = _chain_pair((a1, a2), "SD")
+    pure_sd, mixed_sd = matched_pair(a, "SD")
     pure_d = partial_trace(pure_sd, [DETECTOR])
     mixed_d = partial_trace(mixed_sd, [DETECTOR])
     directions = fibonacci_sphere(n_directions)

@@ -17,12 +17,13 @@ import numpy as np
 
 from .hilbert import (
     DensityMatrix,
+    InvariantViolation,
     SpaceLayout,
     StateVector,
     basis_state,
     partial_trace,
 )
-from .model import ModelConfig, OBSERVER, branch_state, is_env_label
+from .model import OBSERVER, branch_state, is_env_label
 
 ATOL_PROBABILITY = 1e-12
 ATOL_BRANCH_SUPPORT = 1e-9
@@ -135,10 +136,14 @@ def sample_event(gemenge: Gemenge, event_index: int, seed: int) -> EventRecord:
     )
 
 
-def collapse_gemenge(config: ModelConfig) -> Gemenge:
+def collapse_gemenge(a1: complex, a2: complex) -> Gemenge:
     """Observer-side branch gemenge with Born weights |a_i|^2."""
+    p1, p2 = abs(a1) ** 2, abs(a2) ** 2
+    if abs(p1 + p2 - 1.0) > ATOL_PROBABILITY:
+        raise InvariantViolation(
+            f"|a1|^2 + |a2|^2 = {p1 + p2!r}, expected 1 within {ATOL_PROBABILITY}"
+        )
     layout = SpaceLayout.of(OBSERVER)
-    p1, p2 = config.born_weights
     return Gemenge(
         (
             (basis_state(layout, [0]), p1),
@@ -147,15 +152,15 @@ def collapse_gemenge(config: ModelConfig) -> Gemenge:
     )
 
 
-def run_ensemble(config: ModelConfig, n_events: int) -> FrequencyReport:
+def run_ensemble(a1: complex, a2: complex, n_events: int, seed: int = 0) -> FrequencyReport:
     """Sample ``n_events`` collapse events and aggregate branch frequencies."""
     if n_events < 1:
         raise ValueError("n_events must be >= 1")
-    gemenge = collapse_gemenge(config)
-    members = _member_indices(gemenge, config.rng_seed, 0, n_events)
+    gemenge = collapse_gemenge(a1, a2)
+    members = _member_indices(gemenge, seed, 0, n_events)
     n1 = int(np.count_nonzero(members == 0))
     n2 = n_events - n1
-    p1, p2 = config.born_weights
+    p1, p2 = gemenge.probabilities
     return FrequencyReport(
         n_events=n_events,
         counts=(n1, n2),

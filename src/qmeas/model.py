@@ -18,7 +18,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .hilbert import (
-    InvariantViolation,
     Observable,
     SpaceLayout,
     StateVector,
@@ -37,7 +36,6 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
-ATOL_AMPLITUDE = 1e-12
 ATOL_PARAMETER = 1e-12
 ATOL_POINTER_READY = 1e-9
 
@@ -68,32 +66,6 @@ def ms_layout(n_env: int = 0) -> SpaceLayout:
         raise ValueError("n_env must be >= 0")
     labels = list(CHAIN_LABELS) + [env_label(j) for j in range(1, n_env + 1)]
     return SpaceLayout.of(*labels)
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    """Amplitudes, environment coupling and the sampling seed for one experiment."""
-
-    a1: complex
-    a2: complex
-    n_env: int = 0
-    env_overlap: float = 1.0
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        total = abs(self.a1) ** 2 + abs(self.a2) ** 2
-        if abs(total - 1.0) > ATOL_AMPLITUDE:
-            raise InvariantViolation(
-                f"|a1|^2 + |a2|^2 = {total!r}, expected 1 within {ATOL_AMPLITUDE}"
-            )
-        if self.n_env < 0:
-            raise ValueError("n_env must be >= 0")
-        if not 0.0 <= self.env_overlap <= 1.0:
-            raise ValueError("env_overlap must lie in [0, 1]")
-
-    @property
-    def born_weights(self) -> tuple[float, float]:
-        return (abs(self.a1) ** 2, abs(self.a2) ** 2)
 
 
 def prepare_system(a1: complex, a2: complex) -> StateVector:
@@ -211,25 +183,20 @@ def decohere(
 def interference_operator(
     layout: SpaceLayout,
     c1: complex,
-    c2: complex | None = None,
     factors: Sequence[str] = CHAIN_LABELS,
 ) -> Observable:
-    """Joint flip operator c1 |1..1><2..2| + c2 |2..2><1..1| over ``factors``.
+    """Joint flip operator c1 |1..1><2..2| + conj(c1) |2..2><1..1| over ``factors``.
 
-    Hermiticity requires c2 equal to the conjugate of c1 (the default); any
-    other combination is rejected, as is |c1| != 1.
+    Rejects |c1| != 1.
     """
     c1 = complex(c1)
-    c2 = c1.conjugate() if c2 is None else complex(c2)
-    if abs(c2 - c1.conjugate()) > ATOL_PARAMETER:
-        raise ValueError("c2 must equal conj(c1) for a Hermitian interference term")
     if abs(abs(c1) - 1.0) > ATOL_PARAMETER:
         raise ValueError("|c1| must equal 1")
     sub = SpaceLayout.of(*factors)
     dim = sub.total_dim
     matrix = np.zeros((dim, dim), dtype=np.complex128)
     matrix[0, dim - 1] = c1
-    matrix[dim - 1, 0] = c2
+    matrix[dim - 1, 0] = c1.conjugate()
     name = "B" if len(factors) == 3 else "B_SD"
     op = Observable(sub, matrix, name=name)
     if tuple(layout.labels) == tuple(factors):
@@ -242,9 +209,6 @@ class ObservableZoo:
     """Named observables embedded in one layout."""
 
     members: Mapping[str, Observable]
-    gamma: float
-    c1: complex
-    direction: tuple[float, float, float]
 
     def __getitem__(self, name: str) -> Observable:
         try:
@@ -256,9 +220,6 @@ class ObservableZoo:
 
     def __contains__(self, name: str) -> bool:
         return name in self.members
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(self.members)
 
 
 def zoo(
@@ -316,9 +277,7 @@ def zoo(
     if labels.issuperset(CHAIN_LABELS):
         members["B"] = interference_operator(layout, c1, factors=CHAIN_LABELS)
 
-    return ObservableZoo(
-        members=MappingProxyType(members), gamma=gamma, c1=c1, direction=d
-    )
+    return ObservableZoo(members=MappingProxyType(members))
 
 
 def conjugate_spin_matrix(gamma: float) -> np.ndarray:

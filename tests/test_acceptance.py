@@ -33,7 +33,6 @@ from qmeas.hilbert import (
     partial_trace,
 )
 from qmeas.model import (
-    ModelConfig,
     branch_state,
     decohere,
     measurement_chain_state,
@@ -118,7 +117,7 @@ def test_criterion_3_interference_terms():
 def test_criterion_4_born_frequencies():
     ok = True
     for a1, a2, seed in [(SQ2, SQ2, 20260809), (0.6, 0.8, 20260810)]:
-        report = run_ensemble(ModelConfig(a1=a1, a2=a2, rng_seed=seed), 100_000)
+        report = run_ensemble(a1, a2, 100_000, seed=seed)
         for freq, p, se in zip(
             report.frequencies, report.born_probabilities, report.standard_errors
         ):
@@ -126,10 +125,7 @@ def test_criterion_4_born_frequencies():
     # reflection symmetry: equal weights for every quantum phase
     for k in range(8):
         gamma = k * math.pi / 4.0
-        config = ModelConfig(
-            a1=SQ2, a2=SQ2 * np.exp(1j * gamma), rng_seed=777 + k
-        )
-        report = run_ensemble(config, 100_000)
+        report = run_ensemble(SQ2, SQ2 * np.exp(1j * gamma), 100_000, seed=777 + k)
         ok = ok and abs(report.born_probabilities[0] - 0.5) <= 1e-12
         ok = ok and abs(report.frequencies[0] - 0.5) <= 4.0 * report.standard_errors[0]
     _verdict(4, "empirical frequencies track the Born weights at four sigma", ok)

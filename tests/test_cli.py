@@ -144,6 +144,38 @@ def test_non_finite_config_value_exits_one_naming_the_key(key, literal, tmp_path
     assert err.count("\n") == 1 and key in err and "finite" in err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_flag_out_of_range_exits_one_naming_the_key(seed, monkeypatch, capsys):
+    # 2**64 would otherwise wrap to seed 0 in the event streams
+    monkeypatch.delenv("QMEAS_SEED", raising=False)
+    for command in ("simulate", "nogo"):
+        rc, out, err = run_main([command, "--events", "10000", "--seed", seed], capsys)
+        assert rc == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "rng_seed" in err and "Traceback" not in err
+
+
+def test_seed_out_of_range_from_env_or_config_file_exits_one(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("QMEAS_SEED", "-3")
+    rc, out, err = run_main(["nogo"], capsys)
+    assert rc == 1 and out == ""
+    assert err.count("\n") == 1 and "rng_seed" in err
+
+    monkeypatch.delenv("QMEAS_SEED")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"rng_seed": 2**64}))
+    rc, out, err = run_main(["simulate", "--config", str(path)], capsys)
+    assert rc == 1 and out == ""
+    assert err.count("\n") == 1 and "rng_seed" in err
+
+
+def test_largest_seed_runs(monkeypatch, capsys):
+    monkeypatch.delenv("QMEAS_SEED", raising=False)
+    rc, out, _ = run_main(["simulate", "--events", "10", "--seed", str(2**64 - 1)], capsys)
+    assert rc == 0
+    assert json.loads(out)["config"]["rng_seed"] == 2**64 - 1
+
+
 def test_unwritable_out_path_exits_one_without_traceback(tmp_path, capsys):
     target = tmp_path / "missing" / "r.json"
     rc, out, err = run_main(

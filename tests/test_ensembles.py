@@ -17,7 +17,6 @@ from qmeas.ensembles import (
 )
 from qmeas.hilbert import SpaceLayout, basis_state, expectation
 from qmeas.model import (
-    ModelConfig,
     branch_state,
     measurement_chain_state,
     ms_layout,
@@ -140,15 +139,14 @@ def test_sample_event_rejects_many_member_gemenge():
 # ------------------------------------------------------------- run_ensemble
 
 def test_run_ensemble_eigenstate_input_is_certain():
-    report = run_ensemble(ModelConfig(a1=1, a2=0, rng_seed=5), 100)
+    report = run_ensemble(1, 0, 100, seed=5)
     assert report.frequencies == (1.0, 0.0)
     assert report.counts == (100, 0)
 
 
 def test_run_ensemble_matches_born_weights_at_four_sigma():
     for a1, a2 in [(SQ2, SQ2), (0.6, 0.8)]:
-        cfg = ModelConfig(a1=a1, a2=a2, rng_seed=20260809)
-        report = run_ensemble(cfg, 100_000)
+        report = run_ensemble(a1, a2, 100_000, seed=20260809)
         for freq, p, se in zip(
             report.frequencies, report.born_probabilities, report.standard_errors
         ):
@@ -156,30 +154,27 @@ def test_run_ensemble_matches_born_weights_at_four_sigma():
 
 
 def test_run_ensemble_is_deterministic():
-    cfg = ModelConfig(a1=0.6, a2=0.8, rng_seed=77)
-    assert run_ensemble(cfg, 10_000) == run_ensemble(cfg, 10_000)
+    assert run_ensemble(0.6, 0.8, 10_000, seed=77) == run_ensemble(0.6, 0.8, 10_000, seed=77)
 
 
 def test_run_ensemble_agrees_with_event_loop():
-    cfg = ModelConfig(a1=0.6, a2=0.8, rng_seed=31)
     n = 2000
-    report = run_ensemble(cfg, n)
-    g = collapse_gemenge(cfg)
-    loop_count = sum(sample_event(g, k, seed=cfg.rng_seed).branch == 1 for k in range(n))
+    report = run_ensemble(0.6, 0.8, n, seed=31)
+    g = collapse_gemenge(0.6, 0.8)
+    loop_count = sum(sample_event(g, k, seed=31).branch == 1 for k in range(n))
     assert report.counts[0] == loop_count
 
 
 def test_run_ensemble_convergence_envelope():
-    cfg = ModelConfig(a1=0.6, a2=0.8, rng_seed=13)
-    p = cfg.born_weights[0]
+    p = abs(0.6) ** 2
     for n in (1000, 10_000, 100_000):
-        report = run_ensemble(cfg, n)
+        report = run_ensemble(0.6, 0.8, n, seed=13)
         assert abs(report.frequencies[0] - p) <= 4 * math.sqrt(p * (1 - p) / n)
 
 
 def test_run_ensemble_rejects_empty_runs():
     with pytest.raises(ValueError, match="n_events"):
-        run_ensemble(ModelConfig(a1=1, a2=0), 0)
+        run_ensemble(1, 0, 0)
 
 
 # -------------------------------------------------------------- restrictions

@@ -31,6 +31,10 @@ CASES = {
     # a1 a2 = 0: every scan is flat, so its grid ties decide the reported phases
     "discriminate_degenerate": ["discriminate", "--a1", "1", "--a2", "0"],
     "decohere": ["decohere", "--n-env", "4", "--env-overlap", "0.5"],
+    "all": [
+        "all", "--a1", "0.6", "--a2", "0,0.8", "--events", "10000", "--seed", "3",
+        "--n-env", "4", "--gamma", "0.3", "--c-phase", "0.7",
+    ],
 }
 
 

@@ -91,6 +91,8 @@ def test_batched_draws_equal_sequential_draws():
         want.append((raw + raw.conj().T) / 2.0)
     batches = list(_random_hermitians(plan.n_random, dim, np.random.default_rng(3)))
     assert [start for start, _ in batches] == [0, 64, 128]
+    # exactly Hermitian, so the MS scan applies them without an Observable gate
+    assert all(np.array_equal(h, h.conj().swapaxes(1, 2)) for _, h in batches)
     assert np.array_equal(np.concatenate([m for _, m in batches]), want)
 
     sequential = np.random.default_rng(3)
