@@ -57,6 +57,7 @@ from .model import (
 
 SEED_ENV_VAR = "QMEAS_SEED"
 MAX_N_ENV = 10  # 3 chain qubits + 10 = 13 qubits, the largest dense state supported
+MAX_N_EVENTS = 10**9  # about 10 s of `simulate` with the streamed sampler
 AMPLITUDE_REJECT = 1e-6
 AMPLITUDE_WARN = 1e-9
 
@@ -196,6 +197,8 @@ def resolve_config(args: argparse.Namespace) -> tuple[ExperimentConfig, list[str
         raise ConfigError(f"rng_seed must lie in [0, 2**64), got {config.rng_seed}")
     if config.n_events < 1:
         raise ConfigError("n_events must be >= 1")
+    if config.n_events > MAX_N_EVENTS:
+        raise ConfigError(f"n_events must be <= {MAX_N_EVENTS}, got {config.n_events}")
     if config.n_env < 0:
         raise ConfigError("n_env must be >= 0")
     if config.n_env > MAX_N_ENV:

@@ -363,7 +363,12 @@ class DiscriminationVerdict:
 
 def fibonacci_sphere(n: int) -> np.ndarray:
     """n nearly uniform unit vectors on the 2-sphere, deterministic."""
-    k = np.arange(n, dtype=float)
+    return _sphere_rows(n, 0, n)
+
+
+def _sphere_rows(n: int, start: int, size: int) -> np.ndarray:
+    """Rows ``start:start + size`` of ``fibonacci_sphere(n)``; row k depends only on k and n."""
+    k = np.arange(start, start + size, dtype=float)
     golden = math.pi * (3.0 - math.sqrt(5.0))
     z = 1.0 - 2.0 * (k + 0.5) / n
     radius = np.sqrt(np.maximum(0.0, 1.0 - z * z))
@@ -410,9 +415,8 @@ def _forcing_samples(n: int, dim: int, rng: np.random.Generator):
 
 def _pointer_directions(sampling: SamplingPlan, rng: np.random.Generator):
     """Pointer-algebra coefficients per batch, in scan order: grid, then random."""
-    grid = fibonacci_sphere(sampling.n_grid)
     for start, size in _chunks(sampling.n_grid):
-        yield grid[start:start + size]
+        yield _sphere_rows(sampling.n_grid, start, size)
     for _, size in _chunks(sampling.n_random):
         rows = rng.normal(size=(size, 3))
         yield rows / np.linalg.norm(rows, axis=1, keepdims=True)

@@ -34,6 +34,7 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _INV_TWO53 = 1.0 / float(2**53)
+_BLOCK = 1 << 15  # events per block: a block's keys stay in cache and memory stays constant
 
 
 def stream_keys(seed: int, start: int, count: int) -> np.ndarray:
@@ -115,7 +116,11 @@ def mixture_density(gemenge: Gemenge) -> DensityMatrix:
 
 
 def _member_indices(gemenge: Gemenge, seed: int, start: int, count: int) -> np.ndarray:
-    """0-based member index per event; the single sampling path for everything."""
+    """0-based member index per event, by ``searchsorted`` with ``side="right"``.
+
+    ``sample_event`` draws through here; ``run_ensemble`` applies the same
+    rule inline, block by block, where member 0 is exactly ``u < p1``.
+    """
     cumulative = np.cumsum(gemenge.probabilities)
     uniforms = stream_uniform(seed, start, count)
     return np.searchsorted(cumulative, uniforms, side="right")
@@ -157,10 +162,13 @@ def run_ensemble(a1: complex, a2: complex, n_events: int, seed: int = 0) -> Freq
     if n_events < 1:
         raise ValueError("n_events must be >= 1")
     gemenge = collapse_gemenge(a1, a2)
-    members = _member_indices(gemenge, seed, 0, n_events)
-    n1 = int(np.count_nonzero(members == 0))
-    n2 = n_events - n1
     p1, p2 = gemenge.probabilities
+    # member 0 under the side="right" rule of _member_indices is exactly u < p1
+    n1 = 0
+    for start in range(0, n_events, _BLOCK):
+        uniforms = stream_uniform(seed, start, min(_BLOCK, n_events - start))
+        n1 += int(np.count_nonzero(uniforms < p1))
+    n2 = n_events - n1
     return FrequencyReport(
         n_events=n_events,
         counts=(n1, n2),

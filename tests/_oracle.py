@@ -9,6 +9,10 @@ The phase scans (``optimal_phase``, ``interference_phase_scan``,
 ``channel_information``) evaluate the scalar ``purity_rate`` or ``overlap``
 at every grid point and every sphere direction, then refine around the
 first grid extremum: the loops the batched scans must reproduce.
+
+``run_ensemble`` draws the uniforms of all events as one array and maps them
+to members with ``searchsorted``: the whole-array sampler that the streamed
+block sampler in ``qmeas.ensembles`` must reproduce count for count.
 """
 
 import math
@@ -30,7 +34,13 @@ from qmeas.discrimination import (
     overlap,
     purity_rate,
 )
-from qmeas.ensembles import Gemenge, mixture_density
+from qmeas.ensembles import (
+    FrequencyReport,
+    Gemenge,
+    collapse_gemenge,
+    mixture_density,
+    stream_uniform,
+)
 from qmeas.hilbert import (
     DEFAULT_EIGENSTATE_TOL,
     Observable,
@@ -301,4 +311,26 @@ def channel_information(a, n_gamma=MIN_PHASE_GRID, n_directions=MIN_DIRECTIONS):
         post_channel_k_min=float(post_k),
         n_gamma=n_gamma,
         n_directions=n_directions,
+    )
+
+
+def run_ensemble(a1, a2, n_events, seed=0):
+    if n_events < 1:
+        raise ValueError("n_events must be >= 1")
+    gemenge = collapse_gemenge(a1, a2)
+    cumulative = np.cumsum(gemenge.probabilities)
+    uniforms = stream_uniform(seed, 0, n_events)
+    members = np.searchsorted(cumulative, uniforms, side="right")
+    n1 = int(np.count_nonzero(members == 0))
+    n2 = n_events - n1
+    p1, p2 = gemenge.probabilities
+    return FrequencyReport(
+        n_events=n_events,
+        counts=(n1, n2),
+        frequencies=(n1 / n_events, n2 / n_events),
+        born_probabilities=(p1, p2),
+        standard_errors=(
+            math.sqrt(p1 * (1.0 - p1) / n_events),
+            math.sqrt(p2 * (1.0 - p2) / n_events),
+        ),
     )

@@ -176,6 +176,26 @@ def test_largest_seed_runs(monkeypatch, capsys):
     assert json.loads(out)["config"]["rng_seed"] == 2**64 - 1
 
 
+def test_n_events_above_ceiling_exits_one_naming_the_key(tmp_path, capsys):
+    # 2**62 events made numpy raise "array is too big", which exited 2
+    for command in ("simulate", "nogo"):
+        rc, out, err = run_main([command, "--events", str(2**62)], capsys)
+        assert rc == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "n_events" in err and "Traceback" not in err
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"n_events": cli.MAX_N_EVENTS + 1}))
+    rc, out, err = run_main(["simulate", "--config", str(path)], capsys)
+    assert rc == 1 and out == ""
+    assert err.count("\n") == 1 and "n_events" in err and "Traceback" not in err
+
+
+def test_n_events_at_ceiling_is_accepted():
+    config, _ = resolve(["simulate", "--events", str(cli.MAX_N_EVENTS)])
+    assert config.n_events == cli.MAX_N_EVENTS == 10**9
+
+
 def test_unwritable_out_path_exits_one_without_traceback(tmp_path, capsys):
     target = tmp_path / "missing" / "r.json"
     rc, out, err = run_main(

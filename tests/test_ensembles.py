@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import _oracle
+import qmeas.ensembles as ensembles
 from qmeas.ensembles import (
     EventRecord,
     Gemenge,
@@ -175,6 +178,33 @@ def test_run_ensemble_convergence_envelope():
 def test_run_ensemble_rejects_empty_runs():
     with pytest.raises(ValueError, match="n_events"):
         run_ensemble(1, 0, 0)
+
+
+BLOCK = ensembles._BLOCK
+
+
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+@pytest.mark.parametrize("a1, a2", [(0.6, 0.8), (1, 0), (0, 1), (0.28, 0.96j)])
+def test_run_ensemble_equals_whole_array_sampler(a1, a2, seed, n):
+    assert run_ensemble(a1, a2, n, seed) == _oracle.run_ensemble(a1, a2, n, seed)
+
+
+def _peak_bytes(n_events):
+    tracemalloc.start()
+    try:
+        run_ensemble(0.6, 0.8, n_events, 7)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_ensemble_memory_does_not_grow_with_n_events(monkeypatch):
+    limit = 4 * 2**20
+    assert _peak_bytes(2_000_000) < limit
+    # tracemalloc sees the numpy buffers: one block for all events breaks the limit
+    monkeypatch.setattr(ensembles, "_BLOCK", 2_000_000)
+    assert _peak_bytes(2_000_000) > limit
 
 
 # -------------------------------------------------------------- restrictions

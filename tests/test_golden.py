@@ -24,6 +24,11 @@ CASES = {
     "nogo_seed3": ["nogo", "--a1", "0.6", "--a2", "0,0.8", "--events", "10000", "--seed", "3"],
     "nogo_seed11": ["nogo", "--a1", "0.6", "--a2", "0,0.8", "--events", "10000", "--seed", "11"],
     "simulate": ["simulate", "--events", "10000", "--seed", "5"],
+    # several event blocks, a partial last one and the largest seed
+    "simulate_blocks": [
+        "simulate", "--a1", "0.6", "--a2", "0,0.8", "--events", "100003",
+        "--seed", "18446744073709551615",
+    ],
     "discriminate": ["discriminate", "--gamma", "0.3", "--c-phase", "0.7"],
     "discriminate_complex": [
         "discriminate", "--a1", "0.28", "--a2", "0,0.96", "--gamma", "2", "--c-phase", "0.7",

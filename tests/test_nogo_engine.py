@@ -74,6 +74,13 @@ def test_forcing_check_matches_per_sample_loop(n_samples):
     assert_same_verdict(got, want)
 
 
+def test_grid_batches_equal_the_whole_sphere_bit_for_bit():
+    # each batch computes its own rows, so memory does not grow with n_grid
+    n = 5001  # 78 full batches and a partial one
+    got = np.concatenate(list(_pointer_directions(SamplingPlan(n, 0), None)))
+    assert np.array_equal(got, fibonacci_sphere(n))
+
+
 def test_batched_draws_equal_sequential_draws():
     # 150 random draws span three batches, the last one partial
     dim = SDO.total_dim
