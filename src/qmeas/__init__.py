@@ -36,14 +36,12 @@ from .model import (
     zoo,
 )
 from .ensembles import (
-    EventRecord,
     FrequencyReport,
     Gemenge,
     mixture_density,
     restrict_statistical,
     restrict_stochastic,
     run_ensemble,
-    sample_event,
 )
 from .discrimination import (
     ChannelInformationReport,
@@ -54,7 +52,6 @@ from .discrimination import (
     PhaseScanResult,
     SamplingPlan,
     channel_information,
-    eigen_discrimination_test,
     interference_analysis,
     interference_phase_scan,
     matched_pair,
@@ -70,7 +67,6 @@ __all__ = [
     "ChannelInformationReport",
     "DensityMatrix",
     "DiscriminationVerdict",
-    "EventRecord",
     "ForcingCheck",
     "FrequencyReport",
     "Gemenge",
@@ -88,7 +84,6 @@ __all__ = [
     "branch_state",
     "channel_information",
     "decohere",
-    "eigen_discrimination_test",
     "embed_operator",
     "expectation",
     "interference_analysis",
@@ -111,7 +106,6 @@ __all__ = [
     "restrict_statistical",
     "restrict_stochastic",
     "run_ensemble",
-    "sample_event",
     "tensor_state",
     "zoo",
 ]

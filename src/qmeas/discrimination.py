@@ -23,19 +23,21 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .hilbert import (
-    ATOL_HERMITIAN_INPUT,
     ATOL_IMAG,
     ATOL_PROB_SUM,
     DEFAULT_EIGENSTATE_TOL,
-    EIG_GROUP_RTOL,
     DensityMatrix,
     InvariantViolation,
     Observable,
     SpaceLayout,
+    State,
     StateVector,
+    checked_hermitian,
     expectation,
+    group_starts,
     outcome_distribution,
     partial_trace,
+    require_same_layout,
 )
 from .model import (
     DETECTOR,
@@ -51,8 +53,6 @@ from .model import (
     zoo,
 )
 from .ensembles import Gemenge, mixture_density
-
-State = StateVector | DensityMatrix
 
 DISTINCTNESS_THRESHOLD = 1e-6   # eigenvalue separation that counts as discrimination
 DEGENERATE_AMPLITUDE = 1e-12    # |a1 a2| below this is out of the no-go regime
@@ -201,14 +201,9 @@ def _overlaps(matrices: np.ndarray, state1: State, state2: State) -> np.ndarray:
     Eigenvalues are grouped by the rule of the ``Observable`` spectrum, and
     each group's weight is the sum of its eigenvectors' weights.
     """
-    if state1.layout != state2.layout:
-        raise ValueError(
-            f"layout mismatch: {state1.layout.labels} vs {state2.layout.labels}"
-        )
-    values, vectors = np.linalg.eigh(_observables(matrices))
-    scale = np.maximum(1.0, np.abs(values[:, :-1]))
-    joined = np.diff(values, axis=1) <= EIG_GROUP_RTOL * scale
-    starts = np.flatnonzero(np.column_stack([np.ones(len(values), dtype=bool), ~joined]))
+    require_same_layout(state1, state2)
+    values, vectors = np.linalg.eigh(checked_hermitian(matrices))
+    starts = group_starts(values)
     rows = starts // values.shape[1]
     groups = []
     for state in (state1, state2):
@@ -261,14 +256,6 @@ def _stacked_states(target: StateVector, branches: Sequence[StateVector]) -> np.
     return np.stack([target.amplitudes, b1.amplitudes, b2.amplitudes])
 
 
-def _observables(matrices: np.ndarray) -> np.ndarray:
-    """``Observable`` construction for a stack: Hermiticity gate, then symmetrize."""
-    adjoints = matrices.conj().swapaxes(1, 2)
-    if np.max(np.abs(matrices - adjoints)) > ATOL_HERMITIAN_INPUT:
-        raise InvariantViolation("observable matrix is not Hermitian")
-    return (matrices + adjoints) / 2.0
-
-
 def _apply(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """products[n, s] = matrices[n] @ vectors[s]."""
     return np.stack([matrices @ v for v in vectors], axis=1)
@@ -288,33 +275,6 @@ def _eigen_residuals(products: np.ndarray, vectors: np.ndarray, tol: float):
     lam = lam.real
     residual = np.linalg.norm(products - lam[..., None] * vectors, axis=-1)
     return lam, np.all(residual <= tol, axis=1)
-
-
-def _gaps(lam: np.ndarray, passed: np.ndarray) -> np.ndarray:
-    """min(|g0 - g1|, |g0 - g2|) of candidates all three states passed, else 0."""
-    gaps = np.minimum(np.abs(lam[:, 0] - lam[:, 1]), np.abs(lam[:, 0] - lam[:, 2]))
-    return np.where(passed, gaps, 0.0)
-
-
-def eigen_discrimination_test(
-    op: Observable,
-    target: StateVector,
-    branches: Sequence[StateVector],
-    tol: float = DEFAULT_EIGENSTATE_TOL,
-) -> tuple[float, float, float] | None:
-    """Eigenvalue triple when ``op`` separates the target from both branches.
-
-    Present only when target and branches are all eigenstates of ``op`` at
-    ``tol`` and the target eigenvalue differs from both branch eigenvalues by
-    more than the distinctness threshold.
-    """
-    vectors = _stacked_states(target, branches)
-    if op.layout != target.layout:
-        raise ValueError(f"layout mismatch: {target.layout.labels} vs {op.layout.labels}")
-    lam, passed = _eigen_residuals(_apply(op.matrix[None], vectors), vectors, tol)
-    if _gaps(lam, passed)[0] <= DISTINCTNESS_THRESHOLD:
-        return None
-    return tuple(float(g) for g in lam[0])
 
 
 @dataclass(frozen=True)
@@ -443,7 +403,7 @@ def forcing_check(
     max_gap = 0.0
     for g1, g2, hermitian in _forcing_samples(n_samples, dim, rng):
         block = complement @ hermitian @ complement
-        matrices = _observables(g1[:, None, None] * p1 + g2[:, None, None] * p2 + block)
+        matrices = checked_hermitian(g1[:, None, None] * p1 + g2[:, None, None] * p2 + block)
         products = _apply(matrices, target)
         forced = (a1 * g1)[:, None] * b1.amplitudes + (a2 * g2)[:, None] * b2.amplitudes
         residual = np.linalg.norm(products[:, 0] - forced, axis=1)
@@ -510,7 +470,7 @@ def nogo_search(
             # G_n acts on the middle axis of (state, factors before, factor, after)
             tensors = vectors.reshape(3, 2**axis, 2, -1)
             for directions in _pointer_directions(sampling, rng):
-                matrices = _observables(_pointer_algebra_matrices(directions))
+                matrices = checked_hermitian(_pointer_algebra_matrices(directions))
                 products = np.einsum("nij,sajb->nsaib", matrices, tensors)
                 yield products.reshape(len(directions), 3, dim), list(map(tuple, directions))
         else:
@@ -535,7 +495,9 @@ def nogo_search(
     max_min_gap = 0.0
     for products, params in candidate_chunks():
         lam, passed = _eigen_residuals(products, vectors, tol)
-        gaps = _gaps(lam, passed)
+        # min(|g0 - g1|, |g0 - g2|) of candidates all three states passed, else 0
+        gaps = np.minimum(np.abs(lam[:, 0] - lam[:, 1]), np.abs(lam[:, 0] - lam[:, 2]))
+        gaps = np.where(passed, gaps, 0.0)
         hits = np.flatnonzero(gaps > DISTINCTNESS_THRESHOLD)
         tested = int(hits[0]) + 1 if hits.size else len(params)
         n_tested += tested
@@ -581,8 +543,7 @@ def interference_analysis(
     if scope not in ("MS", "SD"):
         raise ValueError("scope must be 'MS' or 'SD'")
     pure, mixture = matched_pair(a, scope)
-    factors = ("S", "D", "O") if scope == "MS" else ("S", "D")
-    op = interference_operator(pure.layout, c1, factors=factors)
+    op = interference_operator(pure.layout, c1, factors=pure.layout.labels)
     return InterferenceReport(
         scope=scope,
         c1=complex(c1),
@@ -601,8 +562,10 @@ def interference_phase_scan(
     Scans c1 = exp(i phase) over a uniform grid with local refinement and
     returns (phase, minimal K).
     """
+    if scope not in ("MS", "SD"):
+        raise ValueError("scope must be 'MS' or 'SD'")
     pure, mixture = matched_pair(a, scope)
-    factors = ("S", "D", "O") if scope == "MS" else ("S", "D")
+    factors = pure.layout.labels
     parts = [
         interference_operator(pure.layout, c1, factors=factors).matrix for c1 in (1.0, 1j)
     ]
@@ -667,11 +630,8 @@ def channel_information(
     pure_sd, mixed_sd = matched_pair(a, "SD")
     pure_d = partial_trace(pure_sd, [DETECTOR])
     mixed_d = partial_trace(mixed_sd, [DETECTOR])
-    directions = fibonacci_sphere(n_directions)
-    post_k = 1.0
-    for start, size in _chunks(n_directions):
-        matrices = _pointer_algebra_matrices(directions[start:start + size])
-        post_k = min(post_k, float(_overlaps(matrices, pure_d, mixed_d).min()))
+    matrices = _pointer_algebra_matrices(fibonacci_sphere(n_directions))
+    post_k = min(1.0, float(_overlaps(matrices, pure_d, mixed_d).min()))
 
     return ChannelInformationReport(
         k_sz_eigenstates=k_sz,

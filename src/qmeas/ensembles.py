@@ -4,8 +4,9 @@ A gemenge is a probabilistic mixture with an objective decomposition into
 individual states; unlike a density matrix it remembers which states occur.
 Sampling uses counter-based per-event streams derived from a single 64-bit
 seed, so every event is reproducible and independent of every other:
-identical (seed, event_index) always yields the identical record, and events
-may be evaluated concurrently and aggregated in any order.
+identical (seed, event_index) always yields the identical uniform, and
+``run_ensemble`` may draw the events in any blocks and aggregate them in any
+order.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ from .model import OBSERVER, branch_state, is_env_label
 ATOL_PROBABILITY = 1e-12
 ATOL_BRANCH_SUPPORT = 1e-9
 
-POINTER_VALUES = {1: 1.0, 2: -1.0}
-
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
@@ -42,11 +41,15 @@ def stream_keys(seed: int, start: int, count: int) -> np.ndarray:
     if count < 0 or start < 0:
         raise ValueError("start and count must be nonnegative")
     with np.errstate(over="ignore"):
-        index = np.arange(start, start + count, dtype=np.uint64)
-        z = np.uint64(seed % 2**64) + (index + np.uint64(1)) * _GOLDEN
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        z = z ^ (z >> np.uint64(31))
+        z = np.arange(start, start + count, dtype=np.uint64)
+        z += np.uint64(1)
+        z *= _GOLDEN
+        z += np.uint64(seed % 2**64)
+        z ^= z >> np.uint64(30)
+        z *= _MIX1
+        z ^= z >> np.uint64(27)
+        z *= _MIX2
+        z ^= z >> np.uint64(31)
     return z
 
 
@@ -86,16 +89,6 @@ class Gemenge:
 
 
 @dataclass(frozen=True)
-class EventRecord:
-    """One sampled measurement event."""
-
-    event_index: int
-    branch: int
-    pointer_value: float
-    seed_stream: int
-
-
-@dataclass(frozen=True)
 class FrequencyReport:
     """Aggregated branch statistics of one sampled ensemble."""
 
@@ -113,32 +106,6 @@ def mixture_density(gemenge: Gemenge) -> DensityMatrix:
     for state, p in gemenge.members:
         matrix += p * np.outer(state.amplitudes, state.amplitudes.conj())
     return DensityMatrix(gemenge.layout, matrix)
-
-
-def _member_indices(gemenge: Gemenge, seed: int, start: int, count: int) -> np.ndarray:
-    """0-based member index per event, by ``searchsorted`` with ``side="right"``.
-
-    ``sample_event`` draws through here; ``run_ensemble`` applies the same
-    rule inline, block by block, where member 0 is exactly ``u < p1``.
-    """
-    cumulative = np.cumsum(gemenge.probabilities)
-    uniforms = stream_uniform(seed, start, count)
-    return np.searchsorted(cumulative, uniforms, side="right")
-
-
-def sample_event(gemenge: Gemenge, event_index: int, seed: int) -> EventRecord:
-    """Draw one member from its keyed per-event stream; reproducible by construction."""
-    if len(gemenge.members) > 2:
-        raise ValueError("event records use the two-branch pointer convention")
-    member = int(_member_indices(gemenge, seed, event_index, 1)[0])
-    branch = member + 1
-    key = int(stream_keys(seed, event_index, 1)[0])
-    return EventRecord(
-        event_index=event_index,
-        branch=branch,
-        pointer_value=POINTER_VALUES[branch],
-        seed_stream=key,
-    )
 
 
 def collapse_gemenge(a1: complex, a2: complex) -> Gemenge:
@@ -163,7 +130,7 @@ def run_ensemble(a1: complex, a2: complex, n_events: int, seed: int = 0) -> Freq
         raise ValueError("n_events must be >= 1")
     gemenge = collapse_gemenge(a1, a2)
     p1, p2 = gemenge.probabilities
-    # member 0 under the side="right" rule of _member_indices is exactly u < p1
+    # event k is branch 1 exactly when its uniform u_k < p1
     n1 = 0
     for start in range(0, n_events, _BLOCK):
         uniforms = stream_uniform(seed, start, min(_BLOCK, n_events - start))

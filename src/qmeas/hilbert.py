@@ -23,10 +23,8 @@ ATOL_HERMITIAN_INPUT = 1e-10  # acceptance gate for Hermitian input matrices
 ATOL_HERMITIAN_STORED = 1e-12  # guaranteed for stored matrices
 ATOL_TRACE = 1e-12          # density-matrix trace
 ATOL_PSD = 1e-12            # tolerated magnitude of negative eigenvalues
-ATOL_PROJECTOR = 1e-10      # projector algebra checks
 ATOL_PROB_SUM = 1e-10       # outcome distributions must sum to one
 ATOL_IMAG = 1e-10           # discarded imaginary residue of expectations
-RTOL_RECONSTRUCT = 1e-9     # spectral reconstruction, relative Frobenius
 EIG_GROUP_RTOL = 1e-8       # |l_i - l_j| <= EIG_GROUP_RTOL * max(1, |l_i|)
 DEFAULT_EIGENSTATE_TOL = 1e-9
 
@@ -176,10 +174,8 @@ class Observable:
         arr = np.array(matrix, dtype=np.complex128)
         if arr.shape != (dim, dim):
             raise ValueError(f"matrix has shape {arr.shape}, layout needs ({dim}, {dim})")
-        if np.max(np.abs(arr - arr.conj().T)) > ATOL_HERMITIAN_INPUT:
-            raise InvariantViolation("observable matrix is not Hermitian")
         self.layout = layout
-        self.matrix = _frozen((arr + arr.conj().T) / 2.0)
+        self.matrix = _frozen(checked_hermitian(arr))
         self.name = name
         self._spectrum: tuple[SpectralEntry, ...] | None = None
 
@@ -196,6 +192,21 @@ class Observable:
     def __repr__(self):
         label = self.name or "G"
         return f"Observable({label!r}, dim={self.layout.total_dim})"
+
+
+def checked_hermitian(matrices: np.ndarray) -> np.ndarray:
+    """Hermiticity gate at ``ATOL_HERMITIAN_INPUT``, then symmetrize; one matrix or a stack."""
+    adjoints = matrices.conj().swapaxes(-1, -2)
+    if np.max(np.abs(matrices - adjoints)) > ATOL_HERMITIAN_INPUT:
+        raise InvariantViolation("observable matrix is not Hermitian")
+    return (matrices + adjoints) / 2.0
+
+
+def group_starts(values: np.ndarray) -> np.ndarray:
+    """Flat index of each group's first eigenvalue: ``_grouped_spectrum``'s rule per row."""
+    scale = np.maximum(1.0, np.abs(values[:, :-1]))
+    joined = np.diff(values, axis=1) <= EIG_GROUP_RTOL * scale
+    return np.flatnonzero(np.column_stack([np.ones(len(values), dtype=bool), ~joined]))
 
 
 def _grouped_spectrum(matrix: np.ndarray) -> tuple[SpectralEntry, ...]:
@@ -218,10 +229,11 @@ def _grouped_spectrum(matrix: np.ndarray) -> tuple[SpectralEntry, ...]:
 State = Union[StateVector, DensityMatrix]
 
 
-def _require_same_layout(state, op) -> None:
-    if state.layout != op.layout:
+def require_same_layout(a, b) -> None:
+    """Raise unless both operands live on one layout."""
+    if a.layout != b.layout:
         raise ValueError(
-            f"layout mismatch: {state.layout.labels} vs {op.layout.labels}"
+            f"layout mismatch: {a.layout.labels} vs {b.layout.labels}"
         )
 
 
@@ -320,7 +332,7 @@ def partial_trace(state: State, keep_labels: Sequence[str]) -> DensityMatrix:
 
 def expectation(state: State, op: Observable) -> float:
     """<psi|G|psi> or Tr(rho G); tiny imaginary residue is discarded."""
-    _require_same_layout(state, op)
+    require_same_layout(state, op)
     if isinstance(state, StateVector):
         value = complex(np.vdot(state.amplitudes, op.matrix @ state.amplitudes))
     else:
@@ -341,7 +353,7 @@ def is_eigenstate(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    _require_same_layout(state, op)
+    require_same_layout(state, op)
     lam = expectation(state, op)
     residual = float(
         np.linalg.norm(op.matrix @ state.amplitudes - lam * state.amplitudes)
@@ -351,7 +363,7 @@ def is_eigenstate(
 
 def outcome_distribution(state: State, op: Observable) -> list[tuple[float, float]]:
     """Measurement distribution of ``op`` in ``state``, one entry per spectral group."""
-    _require_same_layout(state, op)
+    require_same_layout(state, op)
     out: list[tuple[float, float]] = []
     for entry in op.spectrum:
         if isinstance(state, StateVector):

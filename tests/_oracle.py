@@ -13,6 +13,9 @@ first grid extremum: the loops the batched scans must reproduce.
 ``run_ensemble`` draws the uniforms of all events as one array and maps them
 to members with ``searchsorted``: the whole-array sampler that the streamed
 block sampler in ``qmeas.ensembles`` must reproduce count for count.
+
+``stream_keys`` is the splitmix64 key expression written one array per
+step: the keys the in-place version in ``qmeas.ensembles`` must reproduce.
 """
 
 import math
@@ -334,3 +337,18 @@ def run_ensemble(a1, a2, n_events, seed=0):
             math.sqrt(p2 * (1.0 - p2) / n_events),
         ),
     )
+
+
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def stream_keys(seed, start, count):
+    with np.errstate(over="ignore"):
+        index = np.arange(start, start + count, dtype=np.uint64)
+        z = np.uint64(seed % 2**64) + (index + np.uint64(1)) * _GOLDEN
+        z = (z ^ (z >> np.uint64(30))) * _MIX1
+        z = (z ^ (z >> np.uint64(27))) * _MIX2
+        z = z ^ (z >> np.uint64(31))
+    return z

@@ -9,7 +9,6 @@ from qmeas.discrimination import (
     DiscriminationVerdict,
     SamplingPlan,
     channel_information,
-    eigen_discrimination_test,
     fibonacci_sphere,
     forcing_check,
     interference_analysis,
@@ -208,11 +207,17 @@ def test_optimal_phase_rejects_small_grid():
         optimal_phase(prepare_system(1, 0), n_grid=100)
 
 
-# ----------------------------------------------- eigen_discrimination_test
+# ------------------------------------------------- eigenstate discrimination
+
+def eigen_triple(op, target, b1, b2):
+    return tuple(is_eigenstate(op, state) for state in (target, b1, b2))
+
 
 def test_eigen_test_superposition_is_not_pointer_eigenstate():
     psi, b1, b2 = chain_states(SQ2, SQ2)
-    assert eigen_discrimination_test(zoo(SDO)["V"], psi, [b1, b2]) is None
+    triple = eigen_triple(zoo(SDO)["V"], psi, b1, b2)
+    assert triple[0] is None
+    assert triple[1:] == pytest.approx((1.0, -1.0), abs=1e-12)
 
 
 def test_eigen_test_degenerate_product_observable():
@@ -223,27 +228,27 @@ def test_eigen_test_degenerate_product_observable():
     b1, b2 = branch_state(1, sd), branch_state(2, sd)
     sz_q = zoo(sd)["SzQ"]
     assert is_eigenstate(sz_q, psi) == pytest.approx(0.5, abs=1e-12)
-    assert eigen_discrimination_test(sz_q, psi, [b1, b2]) is None
+    assert eigen_triple(sz_q, psi, b1, b2) == pytest.approx((0.5, 0.5, 0.5), abs=1e-12)
 
 
 def test_eigen_test_identity_never_discriminates():
     psi, b1, b2 = chain_states(0.6, 0.8)
     identity = Observable(SDO, np.eye(8), name="I")
-    assert eigen_discrimination_test(identity, psi, [b1, b2]) is None
+    assert eigen_triple(identity, psi, b1, b2) == pytest.approx((1.0, 1.0, 1.0), abs=1e-12)
 
 
 def test_eigen_test_positive_control():
     sd = SpaceLayout.of("S", "D")
     target = basis_state(sd, [0, 1])
-    branches = [basis_state(sd, [0, 0]), basis_state(sd, [1, 1])]
+    b1, b2 = basis_state(sd, [0, 0]), basis_state(sd, [1, 1])
     op = Observable(sd, np.diag([1.0, 5.0, 0.0, 2.0]))
-    assert eigen_discrimination_test(op, target, branches) == pytest.approx((5.0, 1.0, 2.0))
+    assert eigen_triple(op, target, b1, b2) == pytest.approx((5.0, 1.0, 2.0))
 
 
 def test_eigen_test_rejects_non_orthonormal_branches():
     psi, b1, _ = chain_states(0.6, 0.8)
     with pytest.raises(ValueError, match="orthonormal"):
-        eigen_discrimination_test(zoo(SDO)["V"], psi, [b1, b1])
+        nogo_search("O", (psi, b1, b1), SamplingPlan(0, 10_000))
 
 
 # ------------------------------------------------------------ forcing check
@@ -381,6 +386,8 @@ def test_interference_phase_scan_reaches_minimal_overlap():
 def test_interference_rejects_unknown_scope():
     with pytest.raises(ValueError, match="scope"):
         interference_analysis(1.0, (SQ2, SQ2), scope="DO")
+    with pytest.raises(ValueError, match="scope"):
+        interference_phase_scan((SQ2, SQ2), scope="S")
 
 
 # ------------------------------------------------------- channel information

@@ -7,14 +7,12 @@ import pytest
 import _oracle
 import qmeas.ensembles as ensembles
 from qmeas.ensembles import (
-    EventRecord,
     Gemenge,
     collapse_gemenge,
     mixture_density,
     restrict_statistical,
     restrict_stochastic,
     run_ensemble,
-    sample_event,
     stream_keys,
     stream_uniform,
 )
@@ -65,6 +63,15 @@ def test_stream_keys_differ_across_seeds_and_events():
     assert stream_keys(1, 0, 1)[0] != stream_keys(1, 1, 1)[0]
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+@pytest.mark.parametrize("start", [0, 12345, 2**40])
+def test_stream_keys_equal_step_by_step_expression(seed, start):
+    for count in (0, 1, 32769):
+        keys = stream_keys(seed, start, count)
+        assert keys.dtype == np.uint64
+        assert np.array_equal(keys, _oracle.stream_keys(seed, start, count))
+
+
 # ------------------------------------------------------------------ gemenge
 
 def test_gemenge_rejects_bad_probabilities():
@@ -99,44 +106,28 @@ def test_mixture_density_single_member_is_pure_projector():
     assert rho.purity() == pytest.approx(1.0, abs=1e-12)
 
 
-# ------------------------------------------------------------- sample_event
+# ------------------------------------------------------- one event's branch
 
 def test_sample_event_degenerate_distributions():
-    always_one = observer_gemenge(1.0, 0.0)
-    always_two = observer_gemenge(0.0, 1.0)
-    for k in range(50):
-        assert sample_event(always_one, k, seed=7).branch == 1
-        assert sample_event(always_two, k, seed=7).branch == 2
+    assert run_ensemble(1, 0, 50, seed=7).counts == (50, 0)
+    assert run_ensemble(0, 1, 50, seed=7).counts == (0, 50)
 
 
 def test_sample_event_is_reproducible():
-    g = observer_gemenge(0.3, 0.7)
-    first = sample_event(g, 12345, seed=42)
-    second = sample_event(g, 12345, seed=42)
-    assert first == second
-    assert isinstance(first, EventRecord)
-    assert first.pointer_value in (1.0, -1.0)
-    assert first.seed_stream == int(stream_keys(42, 12345, 1)[0])
+    # event k's key and uniform depend on (seed, k) alone: every window holding k agrees
+    k = 12345
+    key, uniform = stream_keys(42, k, 1)[0], stream_uniform(42, k, 1)[0]
+    assert stream_keys(42, k, 1)[0] == key
+    for start, count in ((0, k + 1), (0, 32769), (k, 3), (k - 7, 32769)):
+        assert stream_keys(42, start, count)[k - start] == key
+        assert stream_uniform(42, start, count)[k - start] == uniform
 
 
 def test_sample_event_balanced_frequency_within_binomial_bound():
-    g = observer_gemenge(0.5, 0.5)
     n = 100_000
-    count = sum(sample_event(g, k, seed=11).branch == 1 for k in range(n))
+    report = run_ensemble(SQ2, SQ2, n, seed=11)
     bound = 4 * math.sqrt(0.25 / n)
-    assert abs(count / n - 0.5) <= bound
-
-
-def test_sample_event_rejects_many_member_gemenge():
-    g = Gemenge(
-        (
-            (basis_state(O, [0]), 0.5),
-            (basis_state(O, [1]), 0.25),
-            (basis_state(O, [1]), 0.25),
-        )
-    )
-    with pytest.raises(ValueError, match="two-branch"):
-        sample_event(g, 0, seed=1)
+    assert abs(report.counts[0] / n - 0.5) <= bound
 
 
 # ------------------------------------------------------------- run_ensemble
@@ -163,8 +154,8 @@ def test_run_ensemble_is_deterministic():
 def test_run_ensemble_agrees_with_event_loop():
     n = 2000
     report = run_ensemble(0.6, 0.8, n, seed=31)
-    g = collapse_gemenge(0.6, 0.8)
-    loop_count = sum(sample_event(g, k, seed=31).branch == 1 for k in range(n))
+    p1 = collapse_gemenge(0.6, 0.8).probabilities[0]
+    loop_count = sum(stream_uniform(31, k, 1)[0] < p1 for k in range(n))
     assert report.counts[0] == loop_count
 
 
