@@ -267,8 +267,6 @@ def _eigen_residuals(products: np.ndarray, vectors: np.ndarray, tol: float):
     Returns lam[n, s] = <v_s|G_n v_s> and the mask of the candidates n under
     which every v_s passes ||G_n v_s - lam v_s|| <= tol.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     lam = np.einsum("si,nsi->ns", vectors.conj(), products)
     if np.max(np.abs(lam.imag)) > ATOL_IMAG:
         raise InvariantViolation("expectation of Hermitian operator is not real")
@@ -338,12 +336,7 @@ def _sphere_rows(n: int, start: int, size: int) -> np.ndarray:
 
 _POINTER_BASIS = np.stack([PAULI_Z, PAULI_X, PAULI_Y])
 _POINTER_FAMILY = "{} pointer algebra on the coefficient sphere ({} grid + {} random points)"
-_CHUNK = 64  # candidates per batch; larger batches raise peak memory, not speed
-
-
-def _pointer_algebra_matrices(directions: np.ndarray) -> np.ndarray:
-    """d0 P_z + d1 P_x + d2 P_y for each row (d0, d1, d2) of ``directions``."""
-    return np.einsum("nk,kab->nab", directions, _POINTER_BASIS)
+_CHUNK = 64  # per batch; 256 is faster but lifts `nogo` peak RSS 6% (1024: 18%)
 
 
 def _chunks(n: int):
@@ -354,8 +347,10 @@ def _chunks(n: int):
 
 def _hermitians(parts: np.ndarray) -> np.ndarray:
     """(X + X^H) / 2 for X = parts[:, 0] + i parts[:, 1]."""
-    raw = parts[:, 0] + 1j * parts[:, 1]
-    return (raw + raw.conj().swapaxes(1, 2)) / 2.0
+    real, imag = parts[:, 0], parts[:, 1]
+    out = np.empty(real.shape, dtype=complex)
+    out.real, out.imag = (real + real.swapaxes(1, 2)) / 2.0, (imag - imag.swapaxes(1, 2)) / 2.0
+    return out
 
 
 def _random_hermitians(n: int, dim: int, rng: np.random.Generator):
@@ -390,6 +385,8 @@ def forcing_check(
 ) -> ForcingCheck:
     """Sample Hermitian G with the branches as exact eigenvectors and record
     the substitution residual and the forced eigenvalue gap."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     psi, b1, b2 = states
     dim = psi.layout.total_dim
     a1 = complex(np.vdot(b1.amplitudes, psi.amplitudes))
@@ -442,6 +439,8 @@ def nogo_search(
         raise ValueError("layout_scope must be one of 'O', 'D', 'MS'")
     if sampling.total < MIN_NOGO_SAMPLES:
         raise ValueError(f"no-go sampling needs at least {MIN_NOGO_SAMPLES} candidates")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     psi, b1, b2 = states
     vectors = _stacked_states(psi, (b1, b2))
     a1 = complex(np.vdot(b1.amplitudes, psi.amplitudes))
@@ -464,22 +463,24 @@ def nogo_search(
     dim = psi.layout.total_dim
 
     def candidate_chunks():
-        """Batches of (products[n, s] = G_n v_s, the parameters of each G_n)."""
+        """Batches of (products[n, s] = G_n v_s, label(n): the parameters of G_n)."""
         if layout_scope in ("O", "D"):
             axis = psi.layout.axis(OBSERVER if layout_scope == "O" else DETECTOR)
-            # G_n acts on the middle axis of (state, factors before, factor, after)
+            # P_k v_s, with P_k on the middle axis of (state, factors before, factor,
+            # after); G_n v_s = sum_k d_nk P_k v_s, and real combinations of the
+            # gated Hermitian basis are Hermitian
             tensors = vectors.reshape(3, 2**axis, 2, -1)
+            basis = np.einsum("kij,sajb->ksaib", checked_hermitian(_POINTER_BASIS), tensors)
+            basis = basis.reshape(3, 3 * dim)
             for directions in _pointer_directions(sampling, rng):
-                matrices = checked_hermitian(_pointer_algebra_matrices(directions))
-                products = np.einsum("nij,sajb->nsaib", matrices, tensors)
-                yield products.reshape(len(directions), 3, dim), list(map(tuple, directions))
+                products = (directions @ basis).reshape(len(directions), 3, dim)
+                yield products, lambda n, directions=directions: tuple(directions[n])
         else:
             structured = zoo(psi.layout).members
             matrices = np.stack([op.matrix for op in structured.values()] + [np.eye(dim)])
-            yield _apply(matrices, vectors), [*structured, "I"]
+            yield _apply(matrices, vectors), [*structured, "I"].__getitem__
             for start, matrices in _random_hermitians(sampling.n_random, dim, rng):
-                params = [f"random[{k}]" for k in range(start, start + len(matrices))]
-                yield _apply(matrices, vectors), params
+                yield _apply(matrices, vectors), lambda n, start=start: f"random[{start + n}]"
 
     if layout_scope == "MS":
         family = (
@@ -493,17 +494,17 @@ def nogo_search(
     n_tested = 0
     witness = None
     max_min_gap = 0.0
-    for products, params in candidate_chunks():
+    for products, label in candidate_chunks():
         lam, passed = _eigen_residuals(products, vectors, tol)
         # min(|g0 - g1|, |g0 - g2|) of candidates all three states passed, else 0
         gaps = np.minimum(np.abs(lam[:, 0] - lam[:, 1]), np.abs(lam[:, 0] - lam[:, 2]))
         gaps = np.where(passed, gaps, 0.0)
         hits = np.flatnonzero(gaps > DISTINCTNESS_THRESHOLD)
-        tested = int(hits[0]) + 1 if hits.size else len(params)
+        tested = int(hits[0]) + 1 if hits.size else len(products)
         n_tested += tested
         max_min_gap = max(max_min_gap, float(gaps[:tested].max()))
         if hits.size:
-            witness = (params[hits[0]], *(float(g) for g in lam[hits[0]]))
+            witness = (label(hits[0]), *(float(g) for g in lam[hits[0]]))
             break
 
     forcing = forcing_check((psi, b1, b2), forcing_samples, seed=seed + 1, tol=tol)
@@ -630,7 +631,8 @@ def channel_information(
     pure_sd, mixed_sd = matched_pair(a, "SD")
     pure_d = partial_trace(pure_sd, [DETECTOR])
     mixed_d = partial_trace(mixed_sd, [DETECTOR])
-    matrices = _pointer_algebra_matrices(fibonacci_sphere(n_directions))
+    # d0 P_z + d1 P_x + d2 P_y for each direction (d0, d1, d2)
+    matrices = np.einsum("nk,kab->nab", fibonacci_sphere(n_directions), _POINTER_BASIS)
     post_k = min(1.0, float(_overlaps(matrices, pure_d, mixed_d).min()))
 
     return ChannelInformationReport(

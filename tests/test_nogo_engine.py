@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import _oracle
+from qmeas import discrimination
 from qmeas.discrimination import (
     SamplingPlan,
     _forcing_samples,
@@ -22,7 +23,15 @@ from qmeas.discrimination import (
     forcing_check,
     nogo_search,
 )
-from qmeas.model import branch_state, measurement_chain_state, ms_layout
+from qmeas.hilbert import InvariantViolation
+from qmeas.model import (
+    PAULI_X,
+    PAULI_Z,
+    branch_state,
+    measurement_chain_state,
+    ms_layout,
+    prepare_system,
+)
 
 SDO = ms_layout()
 STATES = (measurement_chain_state(0.6, 0.8j), branch_state(1, SDO), branch_state(2, SDO))
@@ -113,3 +122,51 @@ def test_batched_draws_equal_sequential_draws():
     assert np.array_equal(got_g1, [g1 for g1, _, _ in want])
     assert np.array_equal(got_g2, [g2 for _, g2, _ in want])
     assert np.array_equal(got_h, [h for _, _, h in want])
+
+
+def test_engine_labels_a_late_detector_hit_like_the_loop():
+    # random directions only; scope D's first hit lies inside the third batch
+    plan = SamplingPlan(0, 10_014)
+    got = nogo_search("D", STATES, plan, tol=0.9601, seed=3, forcing_samples=0)
+    want = _oracle.nogo_search("D", STATES, plan, tol=0.9601, seed=3, forcing_samples=0)
+    assert got.found and 64 < got.n_candidates_tested < 10_014
+    assert type(got.witness[0]) is tuple
+    assert all(type(d) is np.float64 for d in got.witness[0])
+    assert_same_verdict(got, want)
+
+
+def test_engine_labels_a_late_random_hit_with_its_global_index():
+    # On the chain every structured observable (S_z first) discriminates at
+    # any tolerance a random one passes, so no random candidate is ever the
+    # first hit there.  On one qubit a random Hermitian passes at tol 0.2 and
+    # no structured one does; the first hit lies in the third batch, so a
+    # label built from the batch offset alone would read random[39].
+    psi = prepare_system(0.6, 0.8j)
+    states = (psi, branch_state(1, psi.layout), branch_state(2, psi.layout))
+    plan = SamplingPlan(0, 10_014)
+    got = nogo_search("MS", states, plan, tol=0.2, seed=3, forcing_samples=0)
+    want = _oracle.nogo_search("MS", states, plan, tol=0.2, seed=3, forcing_samples=0)
+    assert got.witness[0] == "random[167]"
+    assert_same_verdict(got, want)
+
+
+def test_pointer_basis_is_still_gated(monkeypatch):
+    # the O and D scopes check the basis once; a non-Hermitian basis fails
+    raising = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    monkeypatch.setattr(discrimination, "_POINTER_BASIS", np.stack([PAULI_Z, PAULI_X, raising]))
+    with pytest.raises(InvariantViolation, match="not Hermitian"):
+        nogo_search("O", STATES, PLAN, seed=3, forcing_samples=0)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0])
+def test_nonpositive_tolerance_is_rejected_on_every_path(tol):
+    # out of the no-go regime the scan is skipped, and a forcing check with
+    # no samples tests nothing; both still reject the tolerance
+    flat = measurement_chain_state(1, 0)
+    out_of_regime = (flat, branch_state(1, SDO), branch_state(2, SDO))
+    with pytest.raises(ValueError, match="tol must be positive"):
+        nogo_search("O", out_of_regime, PLAN, tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        forcing_check(STATES, n_samples=0, tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        nogo_search("MS", STATES, PLAN, tol=tol)
