@@ -50,7 +50,6 @@ from .discrimination import (
     InterferenceReport,
     OverlapReport,
     PhaseScanResult,
-    SamplingPlan,
     channel_information,
     interference_analysis,
     interference_phase_scan,
@@ -76,7 +75,6 @@ __all__ = [
     "ObservableZoo",
     "OverlapReport",
     "PhaseScanResult",
-    "SamplingPlan",
     "SpaceLayout",
     "SpectralEntry",
     "StateVector",

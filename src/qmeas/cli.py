@@ -30,8 +30,8 @@ import numpy as np
 from .discrimination import (
     DEGENERATE_AMPLITUDE,
     MIN_NOGO_SAMPLES,
-    SamplingPlan,
     channel_information,
+    forcing_check,
     interference_analysis,
     interference_phase_scan,
     matched_pair,
@@ -94,10 +94,30 @@ class ExperimentConfig:
         return complex(np.exp(1j * self.c_phase))
 
 
-_INT_FIELDS = {"n_env", "n_events", "rng_seed"}
-_FLOAT_FIELDS = {
-    "a1_re", "a1_im", "a2_re", "a2_im", "gamma", "c_phase", "env_overlap",
-}
+_DEFAULTS = {field.name: field.default for field in fields(ExperimentConfig)}
+
+
+def _typed(key: str, value):
+    """``value`` checked against the type of ``key``'s default, str where that
+    is None; an integral float becomes an int."""
+    default = _DEFAULTS[key]
+    if type(default) is int:
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if type(value) is not int:
+            raise ConfigError(f"config key {key!r} must be an integer")
+    elif type(default) is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"config key {key!r} must be a number")
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
+    elif not (isinstance(value, str) or value is default is None):
+        raise ConfigError(f"config key {key!r} must be a string")
+    return value
 
 
 def _parse_amplitude(text: str, flag: str) -> tuple[float, float]:
@@ -118,7 +138,7 @@ def _load_config_file(path: str) -> dict:
             raw = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal past the interpreter's digit limit
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path!r} must hold a flat JSON object")
@@ -152,20 +172,7 @@ def resolve_config(args: argparse.Namespace) -> tuple[ExperimentConfig, list[str
         if flag_value is not None:
             values[field.name] = flag_value
 
-    for key in _INT_FIELDS & set(values):
-        try:
-            values[key] = int(values[key])
-        except (TypeError, ValueError):
-            raise ConfigError(f"config key {key!r} must be an integer") from None
-    for key in _FLOAT_FIELDS & set(values):
-        try:
-            values[key] = float(values[key])
-        except (TypeError, ValueError):
-            raise ConfigError(f"config key {key!r} must be a number") from None
-        if not math.isfinite(values[key]):
-            raise ConfigError(f"config key {key!r} must be finite, got {values[key]!r}")
-
-    config = ExperimentConfig(**values)
+    config = ExperimentConfig(**{key: _typed(key, value) for key, value in values.items()})
     warnings: list[str] = []
 
     norm = math.sqrt(abs(config.a1) ** 2 + abs(config.a2) ** 2)
@@ -374,24 +381,21 @@ def _channel_section(config: ExperimentConfig, _warn, channel) -> dict:
     }
 
 
-def _verdict_dict(verdict) -> dict:
+def _forcing_dict(record) -> dict:
+    return {
+        "n_samples": record.n_samples,
+        "max_substitution_residual": metric(
+            record.max_substitution_residual, target=0.0, tolerance=1e-12
+        ),
+        "max_forced_gap": metric(record.max_forced_gap, target=0.0, tolerance=1e-8),
+    }
+
+
+def _verdict_dict(verdict, forcing: dict | None) -> dict:
     witness = None
     if verdict.witness is not None:
         params, g0, g1, g2 = verdict.witness
         witness = {"parameters": str(params), "g0": g0, "g1": g1, "g2": g2}
-    forcing = None
-    if verdict.forcing is not None:
-        forcing = {
-            "n_samples": verdict.forcing.n_samples,
-            "max_substitution_residual": metric(
-                verdict.forcing.max_substitution_residual,
-                target=0.0,
-                tolerance=1e-12,
-            ),
-            "max_forced_gap": metric(
-                verdict.forcing.max_forced_gap, target=0.0, tolerance=1e-8
-            ),
-        }
     return {
         "family": verdict.family_description,
         "n_candidates_tested": verdict.n_candidates_tested,
@@ -409,25 +413,23 @@ def _nogo_section(config: ExperimentConfig, warn, _channel) -> dict:
             f"the no-go search needs at least {MIN_NOGO_SAMPLES} samples; "
             f"got n_events={config.n_events}"
         )
-    a1, a2 = config.a1, config.a2
-    if abs(a1 * a2) <= DEGENERATE_AMPLITUDE:
-        warn("a1*a2 = 0: out of the no-go regime, scans are skipped")
     layout = ms_layout()
     states = (
-        measurement_chain_state(a1, a2),
+        measurement_chain_state(config.a1, config.a2),
         branch_state(1, layout),
         branch_state(2, layout),
     )
-    half = config.n_events // 2
-    plans = {
-        "O": SamplingPlan(half, config.n_events - half),
-        "D": SamplingPlan(half, config.n_events - half),
-        "MS": SamplingPlan(0, config.n_events),
+    verdicts = {
+        scope: nogo_search(scope, states, config.n_events, seed=config.rng_seed)
+        for scope in ("O", "D", "MS")
     }
-    scopes = {}
-    for scope, plan in plans.items():
-        verdict = nogo_search(scope, states, plan, seed=config.rng_seed)
-        scopes[scope] = _verdict_dict(verdict)
+    forcing = None
+    if all(verdict.out_of_regime for verdict in verdicts.values()):
+        warn("a1*a2 = 0: out of the no-go regime, scans are skipped")
+    else:
+        # the forcing identity depends on the states alone: one check serves every scope
+        forcing = _forcing_dict(forcing_check(states, seed=config.rng_seed + 1))
+    scopes = {scope: _verdict_dict(verdict, forcing) for scope, verdict in verdicts.items()}
     return {"sample_count": config.n_events, "scopes": scopes}
 
 

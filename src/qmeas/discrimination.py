@@ -9,9 +9,9 @@ from the matched mixture.
 
 The no-go search scans observable families for an operator having the
 entangled chain state and both branch states as eigenstates with distinct
-eigenvalues; with both branch amplitudes nonzero no such operator exists,
-and the search also verifies the linear identity that forces the
-eigenvalues to coincide.
+eigenvalues; with both branch amplitudes nonzero no such operator exists.
+The forcing check verifies the linear identity that forces the eigenvalues
+to coincide, once per state triple.
 """
 
 from __future__ import annotations
@@ -276,22 +276,6 @@ def _eigen_residuals(products: np.ndarray, vectors: np.ndarray, tol: float):
 
 
 @dataclass(frozen=True)
-class SamplingPlan:
-    """Candidate counts for the no-go search: deterministic grid plus random draws."""
-
-    n_grid: int
-    n_random: int
-
-    def __post_init__(self):
-        if self.n_grid < 0 or self.n_random < 0:
-            raise ValueError("sample counts must be nonnegative")
-
-    @property
-    def total(self) -> int:
-        return self.n_grid + self.n_random
-
-
-@dataclass(frozen=True)
 class ForcingCheck:
     """Numerical record of the identity that forces equal eigenvalues.
 
@@ -316,7 +300,6 @@ class DiscriminationVerdict:
     witness: tuple | None
     max_min_gap: float
     out_of_regime: bool = False
-    forcing: ForcingCheck | None = None
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:
@@ -359,7 +342,7 @@ def _random_hermitians(n: int, dim: int, rng: np.random.Generator):
         yield start, _hermitians(rng.normal(size=(size, 2, dim, dim)))
 
 
-def _forcing_samples(n: int, dim: int, rng: np.random.Generator):
+def _forcing_draws(n: int, dim: int, rng: np.random.Generator):
     """(g1, g2, H) per batch; sample k draws g1, g2, then H as above, and
     g2 = g1 on even k so that the target passes the eigenstate test."""
     for start, size in _chunks(n):
@@ -368,11 +351,11 @@ def _forcing_samples(n: int, dim: int, rng: np.random.Generator):
         yield draw[:, 0], g2, _hermitians(draw[:, 2:].reshape(size, 2, dim, dim))
 
 
-def _pointer_directions(sampling: SamplingPlan, rng: np.random.Generator):
+def _pointer_directions(n_grid: int, n_random: int, rng: np.random.Generator):
     """Pointer-algebra coefficients per batch, in scan order: grid, then random."""
-    for start, size in _chunks(sampling.n_grid):
-        yield _sphere_rows(sampling.n_grid, start, size)
-    for _, size in _chunks(sampling.n_random):
+    for start, size in _chunks(n_grid):
+        yield _sphere_rows(n_grid, start, size)
+    for _, size in _chunks(n_random):
         rows = rng.normal(size=(size, 3))
         yield rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
@@ -384,7 +367,11 @@ def forcing_check(
     tol: float = DEFAULT_EIGENSTATE_TOL,
 ) -> ForcingCheck:
     """Sample Hermitian G with the branches as exact eigenvectors and record
-    the substitution residual and the forced eigenvalue gap."""
+    the substitution residual and the forced eigenvalue gap.
+
+    The identity depends on the state triple only, not on an observable
+    family, so one check covers every ``nogo_search`` scope on ``states``.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
     psi, b1, b2 = states
@@ -398,7 +385,7 @@ def forcing_check(
     rng = np.random.default_rng(seed)
     max_residual = 0.0
     max_gap = 0.0
-    for g1, g2, hermitian in _forcing_samples(n_samples, dim, rng):
+    for g1, g2, hermitian in _forcing_draws(n_samples, dim, rng):
         block = complement @ hermitian @ complement
         matrices = checked_hermitian(g1[:, None, None] * p1 + g2[:, None, None] * p2 + block)
         products = _apply(matrices, target)
@@ -415,29 +402,30 @@ def forcing_check(
 def nogo_search(
     layout_scope: str,
     states: tuple[StateVector, StateVector, StateVector],
-    sampling: SamplingPlan,
+    n_candidates: int,
     tol: float = DEFAULT_EIGENSTATE_TOL,
     seed: int = 0,
-    forcing_samples: int = 1000,
 ) -> DiscriminationVerdict:
     """Scan an observable family for a discriminating operator.
 
     ``layout_scope`` selects the family: "O" and "D" scan the pointer
     algebra d0 P_z + d1 P_x + d2 P_y of that factor over the unit sphere of
-    coefficients (grid plus random points); "MS" scans random Hermitian
-    matrices on the whole space together with the structured observable set.
+    coefficients, ``n_candidates // 2`` grid points and then the rest as
+    random directions; "MS" scans the structured observable set and then
+    ``n_candidates`` random Hermitian matrices on the whole space.
     ``states`` is the entangled chain state followed by its two branches.
 
     Candidates are tested in batches, in scan order, and the scan stops at
     the first discriminating one.  The verdict reports whether one was
-    found, the largest eigenvalue gap among candidates for which all three
-    states passed the eigenstate test, and the forcing-identity record.
-    With a vanishing branch amplitude the scan is skipped and flagged
-    out of regime, where discrimination is trivially possible.
+    found and the largest eigenvalue gap among candidates for which all
+    three states passed the eigenstate test; ``forcing_check`` verifies the
+    identity behind that gap.  With a vanishing branch amplitude the scan is
+    skipped and flagged out of regime, where discrimination is trivially
+    possible.
     """
     if layout_scope not in ("O", "D", "MS"):
         raise ValueError("layout_scope must be one of 'O', 'D', 'MS'")
-    if sampling.total < MIN_NOGO_SAMPLES:
+    if n_candidates < MIN_NOGO_SAMPLES:
         raise ValueError(f"no-go sampling needs at least {MIN_NOGO_SAMPLES} candidates")
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -456,11 +444,12 @@ def nogo_search(
             witness=None,
             max_min_gap=0.0,
             out_of_regime=True,
-            forcing=None,
         )
 
     rng = np.random.default_rng(seed)
     dim = psi.layout.total_dim
+    n_grid = 0 if layout_scope == "MS" else n_candidates // 2
+    n_random = n_candidates - n_grid
 
     def candidate_chunks():
         """Batches of (products[n, s] = G_n v_s, label(n): the parameters of G_n)."""
@@ -472,24 +461,24 @@ def nogo_search(
             tensors = vectors.reshape(3, 2**axis, 2, -1)
             basis = np.einsum("kij,sajb->ksaib", checked_hermitian(_POINTER_BASIS), tensors)
             basis = basis.reshape(3, 3 * dim)
-            for directions in _pointer_directions(sampling, rng):
+            for directions in _pointer_directions(n_grid, n_random, rng):
                 products = (directions @ basis).reshape(len(directions), 3, dim)
                 yield products, lambda n, directions=directions: tuple(directions[n])
         else:
             structured = zoo(psi.layout).members
             matrices = np.stack([op.matrix for op in structured.values()] + [np.eye(dim)])
             yield _apply(matrices, vectors), [*structured, "I"].__getitem__
-            for start, matrices in _random_hermitians(sampling.n_random, dim, rng):
+            for start, matrices in _random_hermitians(n_random, dim, rng):
                 yield _apply(matrices, vectors), lambda n, start=start: f"random[{start + n}]"
 
     if layout_scope == "MS":
         family = (
             f"random Hermitian matrices of dim {dim} plus the structured "
-            f"observable set ({sampling.n_random} random points)"
+            f"observable set ({n_random} random points)"
         )
     else:
         factor = "observer" if layout_scope == "O" else "detector"
-        family = _POINTER_FAMILY.format(factor, sampling.n_grid, sampling.n_random)
+        family = _POINTER_FAMILY.format(factor, n_grid, n_random)
 
     n_tested = 0
     witness = None
@@ -507,7 +496,6 @@ def nogo_search(
             witness = (label(hits[0]), *(float(g) for g in lam[hits[0]]))
             break
 
-    forcing = forcing_check((psi, b1, b2), forcing_samples, seed=seed + 1, tol=tol)
     return DiscriminationVerdict(
         family_description=family,
         n_candidates_tested=n_tested,
@@ -515,7 +503,6 @@ def nogo_search(
         witness=witness,
         max_min_gap=max_min_gap,
         out_of_regime=False,
-        forcing=forcing,
     )
 
 

@@ -113,12 +113,14 @@ def forcing_check(states, n_samples=1000, seed=0, tol=DEFAULT_EIGENSTATE_TOL):
     return ForcingCheck(n_samples, max_residual, max_gap)
 
 
-def nogo_search(layout_scope, states, sampling, tol=DEFAULT_EIGENSTATE_TOL,
-                seed=0, forcing_samples=1000):
+def nogo_search(layout_scope, states, n_candidates, tol=DEFAULT_EIGENSTATE_TOL, seed=0):
     if layout_scope not in ("O", "D", "MS"):
         raise ValueError("layout_scope must be one of 'O', 'D', 'MS'")
-    if sampling.total < MIN_NOGO_SAMPLES:
+    if n_candidates < MIN_NOGO_SAMPLES:
         raise ValueError(f"no-go sampling needs at least {MIN_NOGO_SAMPLES} candidates")
+    # O and D: half grid points, then the rest random; MS: all random
+    n_grid = 0 if layout_scope == "MS" else n_candidates // 2
+    n_random = n_candidates - n_grid
     psi, b1, b2 = states
     a1 = complex(np.vdot(b1.amplitudes, psi.amplitudes))
     a2 = complex(np.vdot(b2.amplitudes, psi.amplitudes))
@@ -133,7 +135,6 @@ def nogo_search(layout_scope, states, sampling, tol=DEFAULT_EIGENSTATE_TOL,
             witness=None,
             max_min_gap=0.0,
             out_of_regime=True,
-            forcing=None,
         )
 
     rng = np.random.default_rng(seed)
@@ -143,10 +144,10 @@ def nogo_search(layout_scope, states, sampling, tol=DEFAULT_EIGENSTATE_TOL,
         if layout_scope in ("O", "D"):
             label = OBSERVER if layout_scope == "O" else DETECTOR
             sub = SpaceLayout.of(label)
-            for row in fibonacci_sphere(sampling.n_grid):
+            for row in fibonacci_sphere(n_grid):
                 op = Observable(sub, _pointer_algebra_matrix(row), name="A")
                 yield embed_operator(op, [label], psi.layout), tuple(row)
-            for _ in range(sampling.n_random):
+            for _ in range(n_random):
                 row = rng.normal(size=3)
                 row /= np.linalg.norm(row)
                 op = Observable(sub, _pointer_algebra_matrix(row), name="A")
@@ -156,7 +157,7 @@ def nogo_search(layout_scope, states, sampling, tol=DEFAULT_EIGENSTATE_TOL,
             structured["I"] = Observable(psi.layout, np.eye(dim), name="I")
             for name, op in structured.items():
                 yield op, name
-            for k in range(sampling.n_random):
+            for k in range(n_random):
                 raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
                 yield Observable(psi.layout, (raw + raw.conj().T) / 2.0), f"random[{k}]"
 
@@ -164,12 +165,12 @@ def nogo_search(layout_scope, states, sampling, tol=DEFAULT_EIGENSTATE_TOL,
         factor = "observer" if layout_scope == "O" else "detector"
         family = (
             f"{factor} pointer algebra on the coefficient sphere "
-            f"({sampling.n_grid} grid + {sampling.n_random} random points)"
+            f"({n_grid} grid + {n_random} random points)"
         )
     else:
         family = (
             f"random Hermitian matrices of dim {dim} plus the structured "
-            f"observable set ({sampling.n_random} random points)"
+            f"observable set ({n_random} random points)"
         )
 
     n_tested = 0
@@ -189,7 +190,6 @@ def nogo_search(layout_scope, states, sampling, tol=DEFAULT_EIGENSTATE_TOL,
             witness = (params, g0, g1, g2)
             break
 
-    forcing = forcing_check((psi, b1, b2), forcing_samples, seed=seed + 1, tol=tol)
     return DiscriminationVerdict(
         family_description=family,
         n_candidates_tested=n_tested,
@@ -197,7 +197,6 @@ def nogo_search(layout_scope, states, sampling, tol=DEFAULT_EIGENSTATE_TOL,
         witness=witness,
         max_min_gap=max_min_gap,
         out_of_regime=False,
-        forcing=forcing,
     )
 
 

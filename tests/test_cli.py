@@ -14,6 +14,7 @@ from qmeas.cli import (
     render_json,
     resolve_config,
 )
+from qmeas.discrimination import forcing_check
 from qmeas.hilbert import InvariantViolation
 
 SQ2 = 1 / math.sqrt(2)
@@ -84,6 +85,16 @@ def test_env_seed_must_be_integer(monkeypatch):
         resolve(["simulate"])
 
 
+def test_config_integer_past_the_digit_limit_exits_one(tmp_path, capsys):
+    # json raises a plain ValueError here, which exited 2 as an invariant violation
+    path = tmp_path / "config.json"
+    path.write_text('{"gamma": 1' + "0" * 5000 + "}")
+    rc, out, err = run_main(["simulate", "--events", "10", "--config", str(path)], capsys)
+    assert rc == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "not valid JSON" in err and "Traceback" not in err
+
+
 def test_unknown_config_key_rejected(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"a1_real": 1.0}))
@@ -133,7 +144,11 @@ def test_non_finite_flag_exits_one_naming_the_key(flags, key, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize(
+    "literal",
+    # an integer literal too large for a float made float() raise OverflowError
+    ["NaN", "Infinity", "-Infinity", "1e400", pytest.param("1" + "0" * 400, id="10**400")],
+)
 @pytest.mark.parametrize("key", ["a1_re", "a2_im", "gamma", "c_phase", "env_overlap"])
 def test_non_finite_config_value_exits_one_naming_the_key(key, literal, tmp_path, capsys):
     path = tmp_path / "config.json"
@@ -142,6 +157,39 @@ def test_non_finite_config_value_exits_one_naming_the_key(key, literal, tmp_path
     assert rc == 1
     assert out == ""
     assert err.count("\n") == 1 and key in err and "finite" in err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("n_events", 20000.7),
+        ("n_env", 2.9),
+        ("n_env", True),
+        ("rng_seed", False),
+        ("gamma", True),
+        ("gamma", "0.5"),
+        ("output_path", 5),
+        ("output_path", ["a"]),
+        ("output_format", None),
+    ],
+)
+def test_config_value_of_wrong_type_exits_one_naming_the_key(key, value, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({key: value}))
+    rc, out, err = run_main(["simulate", "--config", str(path)], capsys)
+    assert rc == 1
+    assert out == ""
+    assert err.count("\n") == 1 and key in err and "Traceback" not in err
+
+
+def test_config_integral_numbers_are_accepted_for_integer_keys(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text('{"n_events": 1e5, "n_env": 3.0, "gamma": 1, "output_path": null}')
+    config, _ = resolve(["simulate", "--config", str(path)])
+    assert type(config.n_events) is int and config.n_events == 100_000
+    assert type(config.n_env) is int and config.n_env == 3
+    assert type(config.gamma) is float and config.gamma == 1.0
+    assert config.output_path is None
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
@@ -446,6 +494,28 @@ def test_n_env_at_ceiling_runs(capsys):
     section = json.loads(out)["decoherence"]
     assert section["n_env"] == 10
     assert section["coherence_factor"]["passed"] is True
+
+
+def test_nogo_runs_one_forcing_check_per_run(monkeypatch, capsys):
+    # the forcing identity depends on the states alone, not on the scope
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return forcing_check(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "forcing_check", counted)
+    rc, out, _ = run_main(["nogo", "--events", "10000", "--seed", "5"], capsys)
+    assert rc == 0 and len(calls) == 1
+    blocks = [v["forcing"] for v in json.loads(out)["nogo"]["scopes"].values()]
+    assert len(blocks) == 3 and blocks[0] is not None
+    assert blocks[0]["n_samples"] == 1000
+    assert blocks[1] == blocks[0] and blocks[2] == blocks[0]
+
+    calls.clear()
+    rc, out, _ = run_main(["nogo", "--a1", "1", "--a2", "0", "--events", "10000"], capsys)
+    assert rc == 0 and calls == []
+    assert all(v["forcing"] is None for v in json.loads(out)["nogo"]["scopes"].values())
 
 
 def test_nogo_rejects_small_sample_count(capsys):

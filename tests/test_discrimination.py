@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from qmeas.discrimination import (
     DiscriminationVerdict,
-    SamplingPlan,
     channel_information,
     fibonacci_sphere,
     forcing_check,
@@ -248,7 +247,7 @@ def test_eigen_test_positive_control():
 def test_eigen_test_rejects_non_orthonormal_branches():
     psi, b1, _ = chain_states(0.6, 0.8)
     with pytest.raises(ValueError, match="orthonormal"):
-        nogo_search("O", (psi, b1, b1), SamplingPlan(0, 10_000))
+        nogo_search("O", (psi, b1, b1), 10_000)
 
 
 # ------------------------------------------------------------ forcing check
@@ -280,26 +279,25 @@ def test_forcing_check_bounds():
 
 def test_nogo_search_observer_algebra():
     states = chain_states(SQ2, SQ2)
-    verdict = nogo_search("O", states, SamplingPlan(5000, 5000), seed=2)
+    verdict = nogo_search("O", states, 10_000, seed=2)
     assert isinstance(verdict, DiscriminationVerdict)
     assert verdict.found is False
     assert verdict.witness is None
     assert verdict.n_candidates_tested == 10_000
     assert verdict.max_min_gap <= 1e-8
-    assert verdict.forcing is not None
-    assert verdict.forcing.max_forced_gap <= 1e-8
+    assert forcing_check(states, seed=3).max_forced_gap <= 1e-8
 
 
 def test_nogo_search_detector_algebra():
     states = chain_states(0.6, 0.8)
-    verdict = nogo_search("D", states, SamplingPlan(5000, 5000), seed=6)
+    verdict = nogo_search("D", states, 10_000, seed=6)
     assert verdict.found is False
     assert verdict.max_min_gap <= 1e-8
 
 
 def test_nogo_search_full_chain_random_hermitians():
     states = chain_states(0.6, 0.8)
-    verdict = nogo_search("MS", states, SamplingPlan(0, 10_000), seed=9)
+    verdict = nogo_search("MS", states, 10_000, seed=9)
     assert verdict.found is False
     assert verdict.max_min_gap <= 1e-8
     assert verdict.n_candidates_tested >= 10_000  # structured set counts too
@@ -307,7 +305,7 @@ def test_nogo_search_full_chain_random_hermitians():
 
 def test_nogo_search_flags_degenerate_regime():
     states = chain_states(1, 0)
-    verdict = nogo_search("O", states, SamplingPlan(5000, 5000))
+    verdict = nogo_search("O", states, 10_000)
     assert verdict.out_of_regime is True
     assert verdict.found is False
     assert verdict.n_candidates_tested == 0
@@ -320,15 +318,12 @@ def test_nogo_search_flags_degenerate_regime():
 
 def test_nogo_search_validates_inputs():
     states = chain_states(0.6, 0.8)
-    with pytest.raises(ValueError, match="at least 10000"):
-        nogo_search("O", states, SamplingPlan(100, 100))
+    for scope in ("O", "D", "MS"):
+        for n_candidates in (-1, 200, 9_999):
+            with pytest.raises(ValueError, match="at least 10000"):
+                nogo_search(scope, states, n_candidates)
     with pytest.raises(ValueError, match="layout_scope"):
-        nogo_search("X", states, SamplingPlan(5000, 5000))
-
-
-def test_sampling_plan_rejects_negative_counts():
-    with pytest.raises(ValueError, match="nonnegative"):
-        SamplingPlan(-1, 10)
+        nogo_search("X", states, 10_000)
 
 
 def test_fibonacci_sphere_is_deterministic_and_unit():

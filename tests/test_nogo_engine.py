@@ -8,6 +8,7 @@ the loop's, nothing else does.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -15,15 +16,14 @@ import pytest
 import _oracle
 from qmeas import discrimination
 from qmeas.discrimination import (
-    SamplingPlan,
-    _forcing_samples,
+    _forcing_draws,
     _pointer_directions,
     _random_hermitians,
     fibonacci_sphere,
     forcing_check,
     nogo_search,
 )
-from qmeas.hilbert import InvariantViolation
+from qmeas.hilbert import InvariantViolation, StateVector
 from qmeas.model import (
     PAULI_X,
     PAULI_Z,
@@ -35,8 +35,10 @@ from qmeas.model import (
 
 SDO = ms_layout()
 STATES = (measurement_chain_state(0.6, 0.8j), branch_state(1, SDO), branch_state(2, SDO))
-# neither count is a multiple of the engine's batch size
-PLAN = SamplingPlan(5003, 5011)
+# O and D scan 5006 grid points, then 5007 random directions, MS 10013 random
+# matrices: no count is a multiple of the engine's batch size, and a swapped
+# grid/random split would draw different candidates
+N = 10_013
 FLOAT_TOL = 64 * np.finfo(float).eps
 
 
@@ -61,18 +63,21 @@ def assert_same_verdict(got, want):
 @pytest.mark.parametrize("tol", [1e-9, 0.7, 1.2])
 @pytest.mark.parametrize("scope", ["O", "D", "MS"])
 def test_engine_matches_per_candidate_loop(scope, tol):
-    got = nogo_search(scope, STATES, PLAN, tol=tol, seed=3)
-    want = _oracle.nogo_search(scope, STATES, PLAN, tol=tol, seed=3)
+    got = nogo_search(scope, STATES, N, tol=tol, seed=3)
+    want = _oracle.nogo_search(scope, STATES, N, tol=tol, seed=3)
     assert_same_verdict(got, want)
 
 
 def test_engine_stops_mid_batch_like_the_loop():
-    # random directions only; at this tolerance the first candidate that
-    # passes all three eigenstate tests lies inside the third batch
-    plan = SamplingPlan(0, 10_014)
-    got = nogo_search("O", STATES, plan, tol=0.9601, seed=3, forcing_samples=0)
-    want = _oracle.nogo_search("O", STATES, plan, tol=0.9601, seed=3, forcing_samples=0)
-    assert got.found and 64 < got.n_candidates_tested < 10_014
+    # psi's residual under d0 P_z + d1 P_x + d2 P_y on O is
+    # sqrt(1 - (0.28 d0)^2), smallest at the poles.  The grid comes nearest
+    # them at |d0| = 1 - 1/5006; just below its residual no grid point
+    # passes, and the first candidate that passes all three eigenstate tests
+    # is random direction 3603 (|d0| = 0.99982), the 20th of its batch
+    tol = math.sqrt(1.0 - (0.28 * (1.0 - 1.0 / (N // 2))) ** 2) - 1e-7
+    got = nogo_search("O", STATES, N, tol=tol, seed=3)
+    want = _oracle.nogo_search("O", STATES, N, tol=tol, seed=3)
+    assert got.found and got.n_candidates_tested == N // 2 + 3604
     assert_same_verdict(got, want)
 
 
@@ -86,26 +91,26 @@ def test_forcing_check_matches_per_sample_loop(n_samples):
 def test_grid_batches_equal_the_whole_sphere_bit_for_bit():
     # each batch computes its own rows, so memory does not grow with n_grid
     n = 5001  # 78 full batches and a partial one
-    got = np.concatenate(list(_pointer_directions(SamplingPlan(n, 0), None)))
+    got = np.concatenate(list(_pointer_directions(n, 0, None)))
     assert np.array_equal(got, fibonacci_sphere(n))
 
 
 def test_batched_draws_equal_sequential_draws():
     # 150 random draws span three batches, the last one partial
     dim = SDO.total_dim
-    plan = SamplingPlan(70, 150)
+    n_grid, n_random = 70, 150
     sequential = np.random.default_rng(3)
-    rows = [sequential.normal(size=3) for _ in range(plan.n_random)]
-    want = np.concatenate([fibonacci_sphere(plan.n_grid), [r / np.linalg.norm(r) for r in rows]])
-    got = np.concatenate(list(_pointer_directions(plan, np.random.default_rng(3))))
+    rows = [sequential.normal(size=3) for _ in range(n_random)]
+    want = np.concatenate([fibonacci_sphere(n_grid), [r / np.linalg.norm(r) for r in rows]])
+    got = np.concatenate(list(_pointer_directions(n_grid, n_random, np.random.default_rng(3))))
     np.testing.assert_allclose(got, want, rtol=FLOAT_TOL, atol=FLOAT_TOL)
 
     sequential = np.random.default_rng(3)
     want = []
-    for _ in range(plan.n_random):
+    for _ in range(n_random):
         raw = sequential.normal(size=(dim, dim)) + 1j * sequential.normal(size=(dim, dim))
         want.append((raw + raw.conj().T) / 2.0)
-    batches = list(_random_hermitians(plan.n_random, dim, np.random.default_rng(3)))
+    batches = list(_random_hermitians(n_random, dim, np.random.default_rng(3)))
     assert [start for start, _ in batches] == [0, 64, 128]
     # exactly Hermitian, so the MS scan applies them without an Observable gate
     assert all(np.array_equal(h, h.conj().swapaxes(1, 2)) for _, h in batches)
@@ -113,23 +118,35 @@ def test_batched_draws_equal_sequential_draws():
 
     sequential = np.random.default_rng(3)
     want = []
-    for k in range(plan.n_random):
+    for k in range(n_random):
         g1, g2 = sequential.normal(size=2)
         raw = sequential.normal(size=(dim, dim)) + 1j * sequential.normal(size=(dim, dim))
         want.append((g1, g1 if k % 2 == 0 else g2, (raw + raw.conj().T) / 2.0))
-    batches = list(_forcing_samples(plan.n_random, dim, np.random.default_rng(3)))
+    batches = list(_forcing_draws(n_random, dim, np.random.default_rng(3)))
     got_g1, got_g2, got_h = (np.concatenate(part) for part in zip(*batches))
     assert np.array_equal(got_g1, [g1 for g1, _, _ in want])
     assert np.array_equal(got_g2, [g2 for _, g2, _ in want])
     assert np.array_equal(got_h, [h for _, _, h in want])
 
 
+def _rotated_detector(states, angle):
+    """The states with the detector qubit turned by ``angle`` about y."""
+    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+    turn = np.array([[c, -s], [s, c]])
+    return tuple(
+        StateVector(SDO, np.einsum("ij,ajb->aib", turn, v.amplitudes.reshape(2, 2, 2)).ravel())
+        for v in states
+    )
+
+
 def test_engine_labels_a_late_detector_hit_like_the_loop():
-    # random directions only; scope D's first hit lies inside the third batch
-    plan = SamplingPlan(0, 10_014)
-    got = nogo_search("D", STATES, plan, tol=0.9601, seed=3, forcing_samples=0)
-    want = _oracle.nogo_search("D", STATES, plan, tol=0.9601, seed=3, forcing_samples=0)
-    assert got.found and 64 < got.n_candidates_tested < 10_014
+    # With the detector turned by 0.35 rad the passing directions form a cap
+    # away from the pole, and the first grid point inside it lies in the
+    # third batch
+    states = _rotated_detector(STATES, 0.35)
+    got = nogo_search("D", states, N, tol=0.9601, seed=3)
+    want = _oracle.nogo_search("D", states, N, tol=0.9601, seed=3)
+    assert got.found and 128 < got.n_candidates_tested < 192
     assert type(got.witness[0]) is tuple
     assert all(type(d) is np.float64 for d in got.witness[0])
     assert_same_verdict(got, want)
@@ -143,9 +160,8 @@ def test_engine_labels_a_late_random_hit_with_its_global_index():
     # label built from the batch offset alone would read random[39].
     psi = prepare_system(0.6, 0.8j)
     states = (psi, branch_state(1, psi.layout), branch_state(2, psi.layout))
-    plan = SamplingPlan(0, 10_014)
-    got = nogo_search("MS", states, plan, tol=0.2, seed=3, forcing_samples=0)
-    want = _oracle.nogo_search("MS", states, plan, tol=0.2, seed=3, forcing_samples=0)
+    got = nogo_search("MS", states, 10_014, tol=0.2, seed=3)
+    want = _oracle.nogo_search("MS", states, 10_014, tol=0.2, seed=3)
     assert got.witness[0] == "random[167]"
     assert_same_verdict(got, want)
 
@@ -155,7 +171,7 @@ def test_pointer_basis_is_still_gated(monkeypatch):
     raising = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     monkeypatch.setattr(discrimination, "_POINTER_BASIS", np.stack([PAULI_Z, PAULI_X, raising]))
     with pytest.raises(InvariantViolation, match="not Hermitian"):
-        nogo_search("O", STATES, PLAN, seed=3, forcing_samples=0)
+        nogo_search("O", STATES, N, seed=3)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0])
@@ -165,8 +181,8 @@ def test_nonpositive_tolerance_is_rejected_on_every_path(tol):
     flat = measurement_chain_state(1, 0)
     out_of_regime = (flat, branch_state(1, SDO), branch_state(2, SDO))
     with pytest.raises(ValueError, match="tol must be positive"):
-        nogo_search("O", out_of_regime, PLAN, tol=tol)
+        nogo_search("O", out_of_regime, N, tol=tol)
     with pytest.raises(ValueError, match="tol must be positive"):
         forcing_check(STATES, n_samples=0, tol=tol)
     with pytest.raises(ValueError, match="tol must be positive"):
-        nogo_search("MS", STATES, PLAN, tol=tol)
+        nogo_search("MS", STATES, N, tol=tol)
