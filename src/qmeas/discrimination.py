@@ -36,8 +36,10 @@ from .hilbert import (
     expectation,
     group_starts,
     outcome_distribution,
+    outcome_weights,
     partial_trace,
     require_same_layout,
+    spectral_projectors,
 )
 from .model import (
     DETECTOR,
@@ -47,6 +49,7 @@ from .model import (
     PAULI_Z,
     branch_state,
     conjugate_spin_matrix,
+    interference_matrix,
     interference_operator,
     measurement_chain_state,
     prepare_system,
@@ -102,6 +105,20 @@ def overlap(obs: Observable, state1: State, state2: State) -> OverlapReport:
     return OverlapReport(obs.name or "G", k, rows)
 
 
+def _k_value(matrix: np.ndarray, state1: State, state2: State) -> float:
+    """``overlap(Observable(layout, matrix), state1, state2).k_value``, bit for bit.
+
+    The same Hermiticity gate, ``eigh``, grouping, projectors and checked
+    weights, without building the observable, its spectrum records or the
+    report.
+    """
+    require_same_layout(state1, state2)
+    values, vectors = np.linalg.eigh(checked_hermitian(np.asarray(matrix, dtype=complex)))
+    projectors = [projector for _, _, projector in spectral_projectors(values, vectors)]
+    weights = zip(outcome_weights(state1, projectors), outcome_weights(state2, projectors))
+    return float(sum(min(w1, w2) for w1, w2 in weights))
+
+
 def _single_qubit(state: State) -> None:
     if state.layout.n_factors != 1:
         raise ValueError("purity rate is defined on a single-qubit state")
@@ -150,19 +167,32 @@ def _scan_extremum(
     """Phase in [0, 2 pi) extremizing ``scalar``: grid scan plus refinement.
 
     ``batched(phases)`` evaluates the objective on a batch of grid points and
-    only ranks them.  The grid points within ``SCAN_TIE_WINDOW`` of its
-    extremum are re-scored with ``scalar``, and the first extremal one under
-    ``scalar`` is refined with ``scalar`` by ternary search, so the result is
-    the one a scan with ``scalar`` alone finds (K(p) = K(p + pi) makes exact
-    grid ties the rule).  Returns the unwrapped phase and its value.
+    only ranks them.  Every scanned family is linear in (cos p, sin p), so
+    G(p + pi) = -G(p), and K and 2|<S_a>| are invariant under G -> -G:
+    ``batched`` runs on the first half of the (even) grid only and its
+    values are copied onto the second half.  The grid points within
+    ``SCAN_TIE_WINDOW`` of the batched extremum are re-scored with
+    ``scalar``, and the first extremal one under ``scalar`` is refined with
+    ``scalar`` by ternary search, so the result is the one a scan with
+    ``scalar`` alone finds (exact grid ties at p and p + pi are the rule).
+
+    The copy cannot change the result.  Every batched value lies within
+    1e-13 of the scalar value at its point, and a copied value differs from
+    the one it replaces by roundoff, about 1e-16.  That moves a point in or
+    out of the window only at the window's edge, where its scalar value
+    sits about 8e-13 above the best re-scored one, so the same point wins.
+    Returns the unwrapped phase and its value.
     """
     if n_grid < MIN_PHASE_GRID:
         raise ValueError(f"phase grid needs at least {MIN_PHASE_GRID} points")
+    if n_grid % 2:
+        raise ValueError(f"phase grid needs an even number of points, got {n_grid}")
     grid = np.linspace(0.0, 2.0 * math.pi, n_grid, endpoint=False)
     sign = 1.0 if minimize else -1.0
-    values = sign * np.concatenate(
-        [batched(grid[start:start + size]) for start, size in _chunks(n_grid)]
+    half = sign * np.concatenate(
+        [batched(grid[start:start + size]) for start, size in _chunks(n_grid // 2)]
     )
+    values = np.concatenate([half, half])
     near = np.flatnonzero(values <= values.min() + SCAN_TIE_WINDOW)
     best = near[int(np.argmin([sign * scalar(grid[i]) for i in near]))]
     step = 2.0 * math.pi / n_grid
@@ -221,9 +251,10 @@ def _overlaps(matrices: np.ndarray, state1: State, state2: State) -> np.ndarray:
 def optimal_phase(rho_s: State, n_grid: int = MIN_PHASE_GRID) -> PhaseScanResult:
     """Grid scan plus local refinement of the purity rate over the phase.
 
-    The returned phase is canonicalized so the conjugate-spin expectation is
-    nonnegative there; a maximally mixed input has no meaningful maximizer
-    and is reported with ``gamma=None``.
+    ``n_grid`` must be even and at least ``MIN_PHASE_GRID``.  The returned
+    phase is canonicalized so the conjugate-spin expectation is nonnegative
+    there; a maximally mixed input has no meaningful maximizer and is
+    reported with ``gamma=None``.
     """
     _single_qubit(rho_s)
     # <S_a(gamma)> = cos(gamma) <S_a(0)> + sin(gamma) <S_a(pi/2)>
@@ -547,24 +578,19 @@ def interference_phase_scan(
 ) -> tuple[float, float]:
     """Phase of the interference term minimizing the pure/mixed overlap.
 
-    Scans c1 = exp(i phase) over a uniform grid with local refinement and
-    returns (phase, minimal K).
+    Scans c1 = exp(i phase) over a uniform grid of ``n_grid`` points (even,
+    at least ``MIN_PHASE_GRID``) with local refinement and returns
+    (phase, minimal K).
     """
     if scope not in ("MS", "SD"):
         raise ValueError("scope must be 'MS' or 'SD'")
     pure, mixture = matched_pair(a, scope)
-    factors = pure.layout.labels
-    parts = [
-        interference_operator(pure.layout, c1, factors=factors).matrix for c1 in (1.0, 1j)
-    ]
-
-    def k_of(phase: float) -> float:
-        op = interference_operator(pure.layout, np.exp(1j * phase), factors=factors)
-        return overlap(op, pure, mixture).k_value
-
+    n_factors = pure.layout.n_factors
+    parts = [interference_matrix(c1, n_factors) for c1 in (1.0, 1j)]
     phase, k_min = _scan_extremum(
         lambda phases: _overlaps(_phase_stack(*parts, phases), pure, mixture),
-        k_of,
+        lambda phase: _k_value(interference_matrix(np.exp(1j * phase), n_factors),
+                               pure, mixture),
         n_grid,
         minimize=True,
     )
@@ -595,6 +621,8 @@ def channel_information(
     the pure state against the matched mixture over the conjugate-spin
     sweep, and the minimal detector-side overlap over a sphere of detector
     observables after premeasurement (one: nothing about purity arrives).
+    ``n_gamma`` must be even and at least ``MIN_PHASE_GRID``; the
+    ``n_directions`` sweep runs in batches, so its memory stays bounded.
     """
     if n_directions < MIN_DIRECTIONS:
         raise ValueError(f"direction sweep needs at least {MIN_DIRECTIONS} points")
@@ -603,14 +631,9 @@ def channel_information(
     k_sz = overlap(sz, prepare_system(1, 0), prepare_system(0, 1)).k_value
 
     pure, mixture = matched_pair(a, "S")
-
-    def k_of_gamma(gamma: float) -> float:
-        op = Observable(system_layout, conjugate_spin_matrix(gamma), name="S_a")
-        return overlap(op, pure, mixture).k_value
-
     gamma, pre_k = _scan_extremum(
         lambda gammas: _overlaps(_phase_stack(*_S_A_PARTS, gammas), pure, mixture),
-        k_of_gamma,
+        lambda gamma: _k_value(conjugate_spin_matrix(gamma), pure, mixture),
         n_gamma,
         minimize=True,
     )
@@ -618,9 +641,12 @@ def channel_information(
     pure_sd, mixed_sd = matched_pair(a, "SD")
     pure_d = partial_trace(pure_sd, [DETECTOR])
     mixed_d = partial_trace(mixed_sd, [DETECTOR])
-    # d0 P_z + d1 P_x + d2 P_y for each direction (d0, d1, d2)
-    matrices = np.einsum("nk,kab->nab", fibonacci_sphere(n_directions), _POINTER_BASIS)
-    post_k = min(1.0, float(_overlaps(matrices, pure_d, mixed_d).min()))
+    post_k = 1.0
+    for start, size in _chunks(n_directions):
+        # d0 P_z + d1 P_x + d2 P_y for each direction (d0, d1, d2)
+        directions = _sphere_rows(n_directions, start, size)
+        matrices = np.einsum("nk,kab->nab", directions, _POINTER_BASIS)
+        post_k = min(post_k, float(_overlaps(matrices, pure_d, mixed_d).min()))
 
     return ChannelInformationReport(
         k_sz_eigenstates=k_sz,

@@ -209,21 +209,25 @@ def group_starts(values: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.column_stack([np.ones(len(values), dtype=bool), ~joined]))
 
 
-def _grouped_spectrum(matrix: np.ndarray) -> tuple[SpectralEntry, ...]:
-    values, vectors = np.linalg.eigh(matrix)
-    entries: list[SpectralEntry] = []
+def spectral_projectors(values: np.ndarray, vectors: np.ndarray):
+    """(start, stop, projector) of each eigenvalue group of one ``eigh`` result."""
+    listed = values.tolist()
     start = 0
-    for k in range(1, len(values) + 1):
-        last = values[k - 1]
-        if k < len(values) and values[k] - last <= EIG_GROUP_RTOL * max(1.0, abs(last)):
+    for k in range(1, len(listed) + 1):
+        last = listed[k - 1]
+        if k < len(listed) and listed[k] - last <= EIG_GROUP_RTOL * max(1.0, abs(last)):
             continue
         block = vectors[:, start:k]
-        projector = _frozen(block @ block.conj().T)
-        entries.append(
-            SpectralEntry(float(values[start:k].mean()), projector, k - start)
-        )
+        yield start, k, block @ block.conj().T
         start = k
-    return tuple(entries)
+
+
+def _grouped_spectrum(matrix: np.ndarray) -> tuple[SpectralEntry, ...]:
+    values, vectors = np.linalg.eigh(matrix)
+    return tuple(
+        SpectralEntry(float(values[start:stop].mean()), _frozen(projector), stop - start)
+        for start, stop, projector in spectral_projectors(values, vectors)
+    )
 
 
 State = Union[StateVector, DensityMatrix]
@@ -361,21 +365,25 @@ def is_eigenstate(
     return lam if residual <= tol else None
 
 
+def outcome_weights(state: State, projectors) -> list[float]:
+    """Born weight of ``state`` on each projector, checked to form a distribution."""
+    weights: list[float] = []
+    for projector in projectors:
+        if isinstance(state, StateVector):
+            weight = float(np.real(np.vdot(state.amplitudes, projector @ state.amplitudes)))
+        else:
+            weight = float(np.trace(projector @ state.matrix).real)
+        if weight < -ATOL_PROB_SUM:
+            raise InvariantViolation(f"negative outcome probability {weight!r}")
+        weights.append(max(weight, 0.0))
+    total = sum(weights)
+    if abs(total - 1.0) > ATOL_PROB_SUM:
+        raise InvariantViolation(f"outcome probabilities sum to {total!r}")
+    return weights
+
+
 def outcome_distribution(state: State, op: Observable) -> list[tuple[float, float]]:
     """Measurement distribution of ``op`` in ``state``, one entry per spectral group."""
     require_same_layout(state, op)
-    out: list[tuple[float, float]] = []
-    for entry in op.spectrum:
-        if isinstance(state, StateVector):
-            weight = float(
-                np.real(np.vdot(state.amplitudes, entry.projector @ state.amplitudes))
-            )
-        else:
-            weight = float(np.trace(entry.projector @ state.matrix).real)
-        if weight < -ATOL_PROB_SUM:
-            raise InvariantViolation(f"negative outcome probability {weight!r}")
-        out.append((entry.eigenvalue, max(weight, 0.0)))
-    total = sum(weight for _, weight in out)
-    if abs(total - 1.0) > ATOL_PROB_SUM:
-        raise InvariantViolation(f"outcome probabilities sum to {total!r}")
-    return out
+    weights = outcome_weights(state, [entry.projector for entry in op.spectrum])
+    return list(zip(op.eigenvalues, weights))

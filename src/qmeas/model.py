@@ -180,6 +180,18 @@ def decohere(
     return StateVector(target, result.reshape(-1))
 
 
+def interference_matrix(c1: complex, n_factors: int) -> np.ndarray:
+    """Matrix of ``interference_operator`` over ``n_factors`` qubits; rejects |c1| != 1."""
+    c1 = complex(c1)
+    if abs(abs(c1) - 1.0) > ATOL_PARAMETER:
+        raise ValueError("|c1| must equal 1")
+    dim = 2**n_factors
+    matrix = np.zeros((dim, dim), dtype=np.complex128)
+    matrix[0, dim - 1] = c1
+    matrix[dim - 1, 0] = c1.conjugate()
+    return matrix
+
+
 def interference_operator(
     layout: SpaceLayout,
     c1: complex,
@@ -189,14 +201,8 @@ def interference_operator(
 
     Rejects |c1| != 1.
     """
-    c1 = complex(c1)
-    if abs(abs(c1) - 1.0) > ATOL_PARAMETER:
-        raise ValueError("|c1| must equal 1")
+    matrix = interference_matrix(c1, len(factors))
     sub = SpaceLayout.of(*factors)
-    dim = sub.total_dim
-    matrix = np.zeros((dim, dim), dtype=np.complex128)
-    matrix[0, dim - 1] = c1
-    matrix[dim - 1, 0] = c1.conjugate()
     name = "B" if len(factors) == 3 else "B_SD"
     op = Observable(sub, matrix, name=name)
     if tuple(layout.labels) == tuple(factors):
