@@ -13,7 +13,6 @@ violation.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -23,7 +22,7 @@ import stat
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,8 +65,7 @@ class ConfigError(Exception):
     """Unusable configuration or command line."""
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     a1_re: float = 1.0 / math.sqrt(2.0)
     a1_im: float = 0.0
     a2_re: float = 1.0 / math.sqrt(2.0)
@@ -94,13 +92,10 @@ class ExperimentConfig:
         return complex(np.exp(1j * self.c_phase))
 
 
-_DEFAULTS = {field.name: field.default for field in fields(ExperimentConfig)}
-
-
 def _typed(key: str, value):
     """``value`` checked against the type of ``key``'s default, str where that
     is None; an integral float becomes an int."""
-    default = _DEFAULTS[key]
+    default = ExperimentConfig._field_defaults[key]
     if type(default) is int:
         if isinstance(value, float) and value.is_integer():
             value = int(value)
@@ -142,8 +137,7 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path!r} must hold a flat JSON object")
-    known = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(raw) - known
+    unknown = set(raw) - set(ExperimentConfig._fields)
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)}")
     return raw
@@ -167,15 +161,18 @@ def resolve_config(args: argparse.Namespace) -> tuple[ExperimentConfig, list[str
         values["a1_re"], values["a1_im"] = _parse_amplitude(args.a1, "--a1")
     if args.a2 is not None:
         values["a2_re"], values["a2_im"] = _parse_amplitude(args.a2, "--a2")
-    for field in fields(ExperimentConfig):  # each flag's dest is its field name
-        flag_value = getattr(args, field.name, None)
+    for name in ExperimentConfig._fields:  # each flag's dest is its field name
+        flag_value = getattr(args, name, None)
         if flag_value is not None:
-            values[field.name] = flag_value
+            values[name] = flag_value
 
     config = ExperimentConfig(**{key: _typed(key, value) for key, value in values.items()})
     warnings: list[str] = []
 
-    norm = math.sqrt(abs(config.a1) ** 2 + abs(config.a2) ** 2)
+    try:
+        norm = math.sqrt(abs(config.a1) ** 2 + abs(config.a2) ** 2)
+    except OverflowError:  # an amplitude too large to square
+        norm = math.inf
     deviation = abs(norm - 1.0)
     if deviation > AMPLITUDE_REJECT:
         raise ConfigError(
@@ -186,10 +183,8 @@ def resolve_config(args: argparse.Namespace) -> tuple[ExperimentConfig, list[str
         warnings.append(
             f"amplitudes renormalized; deviation was {deviation:.3e}"
         )
-    config.a1_re /= norm
-    config.a1_im /= norm
-    config.a2_re /= norm
-    config.a2_im /= norm
+    config = config._replace(a1_re=config.a1_re / norm, a1_im=config.a1_im / norm,
+                             a2_re=config.a2_re / norm, a2_im=config.a2_im / norm)
 
     if not 0 <= config.rng_seed < 2**64:
         raise ConfigError(f"rng_seed must lie in [0, 2**64), got {config.rng_seed}")
@@ -550,6 +545,7 @@ def _csv_cell(value) -> str:
 
 
 def render_csv(report: dict) -> str:
+    import csv  # only CSV output needs it; a JSON run does not pay for the import
     rows: list[tuple[str, object, object, object]] = []
 
     def walk(prefix: str, value) -> None:

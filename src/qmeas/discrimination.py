@@ -17,8 +17,7 @@ to coincide, once per state triple.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -85,8 +84,7 @@ def matched_pair(a: tuple[complex, complex], scope: str) -> tuple[StateVector, D
     return pure, mixture_density(Gemenge(members))
 
 
-@dataclass(frozen=True)
-class OverlapReport:
+class OverlapReport(NamedTuple):
     """Outcome-distribution intersection of two states under one observable."""
 
     observable_name: str
@@ -131,8 +129,7 @@ def purity_rate(rho_s: State, gamma: float) -> float:
     return 2.0 * abs(expectation(rho_s, op))
 
 
-@dataclass(frozen=True)
-class PhaseScanResult:
+class PhaseScanResult(NamedTuple):
     """Outcome of the purity-rate phase scan; gamma is None when indeterminate."""
 
     gamma: float | None
@@ -306,8 +303,7 @@ def _eigen_residuals(products: np.ndarray, vectors: np.ndarray, tol: float):
     return lam, np.all(residual <= tol, axis=1)
 
 
-@dataclass(frozen=True)
-class ForcingCheck:
+class ForcingCheck(NamedTuple):
     """Numerical record of the identity that forces equal eigenvalues.
 
     For Hermitian G with both branches as exact eigenvectors,
@@ -321,8 +317,7 @@ class ForcingCheck:
     max_forced_gap: float
 
 
-@dataclass(frozen=True)
-class DiscriminationVerdict:
+class DiscriminationVerdict(NamedTuple):
     """Result of one no-go scan over an observable family."""
 
     family_description: str
@@ -533,12 +528,10 @@ def nogo_search(
         found=witness is not None,
         witness=witness,
         max_min_gap=max_min_gap,
-        out_of_regime=False,
     )
 
 
-@dataclass(frozen=True)
-class InterferenceReport:
+class InterferenceReport(NamedTuple):
     """Spectrum, expectations and overlap of one interference operator."""
 
     scope: str
@@ -597,8 +590,7 @@ def interference_phase_scan(
     return float(phase % (2.0 * math.pi)), float(k_min)
 
 
-@dataclass(frozen=True)
-class ChannelInformationReport:
+class ChannelInformationReport(NamedTuple):
     """Input-side vs detector-side distinguishability of the pure/mixed pair."""
 
     k_sz_eigenstates: float

@@ -12,12 +12,13 @@ order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .hilbert import (
     DensityMatrix,
+    Immutable,
     InvariantViolation,
     SpaceLayout,
     StateVector,
@@ -58,14 +59,13 @@ def stream_uniform(seed: int, start: int, count: int) -> np.ndarray:
     return (stream_keys(seed, start, count) >> np.uint64(11)).astype(np.float64) * _INV_TWO53
 
 
-@dataclass(frozen=True, eq=False)
-class Gemenge:
+class Gemenge(Immutable):
     """Finite list of (individual state, probability) over one layout."""
 
-    members: tuple[tuple[StateVector, float], ...]
+    __slots__ = ("members",)
 
-    def __post_init__(self):
-        members = tuple((state, float(p)) for state, p in self.members)
+    def __init__(self, members: tuple[tuple[StateVector, float], ...]):
+        members = tuple((state, float(p)) for state, p in members)
         if not members:
             raise ValueError("a gemenge needs at least one member")
         layout = members[0][0].layout
@@ -88,8 +88,7 @@ class Gemenge:
         return tuple(p for _, p in self.members)
 
 
-@dataclass(frozen=True)
-class FrequencyReport:
+class FrequencyReport(NamedTuple):
     """Aggregated branch statistics of one sampled ensemble."""
 
     n_events: int

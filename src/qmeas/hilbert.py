@@ -13,7 +13,6 @@ construction), so they are safe to call from concurrent contexts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
@@ -38,23 +37,43 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class SpaceLayout:
+class Immutable:
+    """Read-only slots: ``__init__`` sets them with ``object.__setattr__``, nothing else can."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, which checks again
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class SpaceLayout(Immutable):
     """Ordered list of labelled tensor factors; all factors are qubits."""
 
-    factors: tuple[tuple[str, int], ...]
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        if not self.factors:
+    def __init__(self, factors: tuple[tuple[str, int], ...]):
+        if not factors:
             raise ValueError("a layout needs at least one factor")
-        labels = [label for label, _ in self.factors]
+        labels = [label for label, _ in factors]
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate factor labels in {labels}")
-        for label, dim in self.factors:
+        for label, dim in factors:
             if dim != 2:
                 raise ValueError(
                     f"factor {label!r} has dim {dim}; only qubit factors are supported"
                 )
+        object.__setattr__(self, "factors", factors)
+
+    def __eq__(self, other):
+        return self.factors == other.factors if type(other) is SpaceLayout else NotImplemented
+
+    def __hash__(self):
+        return hash(self.factors)
 
     @classmethod
     def of(cls, *labels: str) -> "SpaceLayout":
@@ -65,19 +84,12 @@ class SpaceLayout:
         return tuple(label for label, _ in self.factors)
 
     @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(dim for _, dim in self.factors)
-
-    @property
     def n_factors(self) -> int:
         return len(self.factors)
 
     @property
     def total_dim(self) -> int:
-        out = 1
-        for dim in self.dims:
-            out *= dim
-        return out
+        return 2 ** len(self.factors)  # every factor is a qubit
 
     def axis(self, label: str) -> int:
         for i, (lab, _) in enumerate(self.factors):
@@ -94,25 +106,24 @@ class SpaceLayout:
         return SpaceLayout(tuple(f for f in self.factors if f[0] in keep_set))
 
 
-@dataclass(frozen=True, eq=False)
-class StateVector:
+class StateVector(Immutable):
     """Normalized complex amplitude array over a layout's basis ordering."""
 
-    layout: SpaceLayout
-    amplitudes: np.ndarray
+    __slots__ = ("layout", "amplitudes")
 
-    def __post_init__(self):
-        arr = np.array(self.amplitudes, dtype=np.complex128)
-        if arr.shape != (self.layout.total_dim,):
+    def __init__(self, layout: SpaceLayout, amplitudes: np.ndarray):
+        arr = np.array(amplitudes, dtype=np.complex128)
+        if arr.shape != (layout.total_dim,):
             raise ValueError(
                 f"amplitude array has shape {arr.shape}, layout needs "
-                f"({self.layout.total_dim},)"
+                f"({layout.total_dim},)"
             )
         norm = float(np.linalg.norm(arr))
         if abs(norm - 1.0) > ATOL_NORM:
             raise InvariantViolation(
                 f"state norm {norm!r} deviates from 1 by more than {ATOL_NORM}"
             )
+        object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "amplitudes", _frozen(arr))
 
     def density(self) -> "DensityMatrix":
@@ -122,16 +133,14 @@ class StateVector:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(Immutable):
     """Hermitian, positive semidefinite, trace-one operator."""
 
-    layout: SpaceLayout
-    matrix: np.ndarray
+    __slots__ = ("layout", "matrix")
 
-    def __post_init__(self):
-        dim = self.layout.total_dim
-        arr = np.array(self.matrix, dtype=np.complex128)
+    def __init__(self, layout: SpaceLayout, matrix: np.ndarray):
+        dim = layout.total_dim
+        arr = np.array(matrix, dtype=np.complex128)
         if arr.shape != (dim, dim):
             raise ValueError(f"matrix has shape {arr.shape}, layout needs ({dim}, {dim})")
         if np.max(np.abs(arr - arr.conj().T)) > ATOL_HERMITIAN_STORED:
@@ -145,6 +154,7 @@ class DensityMatrix:
             raise InvariantViolation(
                 f"density matrix has negative eigenvalue {lowest!r}"
             )
+        object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "matrix", _frozen(arr))
 
     def purity(self) -> float:

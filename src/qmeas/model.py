@@ -11,13 +11,13 @@ Pauli-normalized (eigenvalues +-1), branch 1 mapping to +1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .hilbert import (
+    Immutable,
     Observable,
     SpaceLayout,
     StateVector,
@@ -210,11 +210,13 @@ def interference_operator(
     return embed_operator(op, list(factors), layout)
 
 
-@dataclass(frozen=True, eq=False)
-class ObservableZoo:
+class ObservableZoo(Immutable):
     """Named observables embedded in one layout."""
 
-    members: Mapping[str, Observable]
+    __slots__ = ("members",)
+
+    def __init__(self, members: Mapping[str, Observable]):
+        object.__setattr__(self, "members", members)
 
     def __getitem__(self, name: str) -> Observable:
         try:

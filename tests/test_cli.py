@@ -2,7 +2,10 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +21,7 @@ from qmeas.discrimination import forcing_check
 from qmeas.hilbert import InvariantViolation
 
 SQ2 = 1 / math.sqrt(2)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def resolve(argv):
@@ -111,6 +115,37 @@ def test_amplitudes_renormalized_with_warning():
 def test_amplitudes_rejected_beyond_limit():
     with pytest.raises(ConfigError, match="normalization"):
         resolve(["simulate", "--a1", "0.8", "--a2", "0.7"])
+
+
+@pytest.mark.parametrize(
+    "flags, config",
+    [
+        (["--a1", "1e200", "--a2", "1e200"], None),
+        (["--a1", "1,1e308"], None),
+        (["--a1", "1e308,1e308"], None),  # abs() of the complex amplitude overflows
+        ([], {"a1_re": 1e200, "a2_re": 1e200}),
+    ],
+)
+def test_amplitudes_too_large_to_square_exit_one(flags, config, tmp_path, capsys):
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        flags = ["--config", str(path)]
+    rc, out, err = run_main(["simulate", "--events", "10", *flags], capsys)
+    assert rc == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "normalization by inf" in err
+    assert "Traceback" not in err
+
+
+def test_negative_complex_amplitude_needs_the_equals_form():
+    config, _ = resolve(["simulate", "--a1=-0.6,0.1", "--a2", repr(math.sqrt(0.63))])
+    assert config.a1 == pytest.approx(-0.6 + 0.1j)
+    config, _ = resolve(["simulate", "--a1", "-0.6", "--a2", "0.8"])
+    assert config.a1 == pytest.approx(-0.6)
+    # argparse reads a value that starts with "-" and is not a plain number as an option
+    with pytest.raises(ConfigError, match="expected one argument"):
+        resolve(["simulate", "--a1", "-0.6,0.1", "--a2", repr(math.sqrt(0.63))])
 
 
 def test_amplitude_parse_errors():
@@ -417,6 +452,24 @@ def test_csv_output_has_metric_rows(capsys):
     assert len(frequency_rows) == 1
     name, value, tolerance, passed = frequency_rows[0].split(",")
     assert passed in ("true", "false")
+
+
+def test_import_loads_neither_dataclasses_nor_csv():
+    # every command's process pays for what `import qmeas.cli` loads, and
+    # numpy loads neither module; CSV output imports csv when it runs
+    code = (
+        "import numpy, sys\n"
+        "import qmeas.cli as cli\n"
+        "print(sorted({'dataclasses', 'csv'} & set(sys.modules)))\n"
+        "report = cli.empty_report(cli.ExperimentConfig(), 'nogo')\n"
+        "print(cli.render_report(report, 'csv').splitlines()[:2])\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env=dict(os.environ, PYTHONPATH=path), check=True)
+    loaded, rows = child.stdout.splitlines()
+    assert loaded == "[]"
+    assert rows == str(["name,value,tolerance,passed", "schema,qmeas-report/1,,"])
 
 
 def test_discriminate_symmetric_table_rows(capsys):

@@ -120,6 +120,23 @@ def test_overlap_report_weights_recompute_k():
     assert report.k_value == pytest.approx(recomputed, abs=1e-12)
 
 
+def test_report_records_compare_field_by_field():
+    sx = zoo(S)["S_x"]
+    pure, mixed = prepare_system(0.6, 0.8), system_mixture(0.6, 0.8)
+    report = overlap(sx, pure, mixed)
+    assert report == overlap(sx, pure, mixed) and report is not overlap(sx, pure, mixed)
+    assert report != report._replace(k_value=report.k_value + 1e-15)
+    with pytest.raises(AttributeError):
+        report.k_value = 0.0
+    verdict = DiscriminationVerdict("family", 10, False, None, 0.0)
+    assert verdict.out_of_regime is False
+    assert verdict == DiscriminationVerdict(
+        family_description="family", n_candidates_tested=10, found=False,
+        witness=None, max_min_gap=0.0, out_of_regime=False,
+    )
+    assert verdict != verdict._replace(out_of_regime=True)
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3))
 @settings(max_examples=40, deadline=None)
 def test_overlap_range_and_symmetry(seed, n_factors):

@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 
@@ -84,6 +85,16 @@ def test_gemenge_rejects_bad_probabilities():
 def test_gemenge_rejects_mixed_layouts():
     with pytest.raises(ValueError, match="one layout"):
         Gemenge(((basis_state(O, [0]), 0.5), (branch_state(1, SDO), 0.5)))
+
+
+def test_gemenge_rejects_attribute_assignment():
+    g = observer_gemenge(0.5, 0.5)
+    with pytest.raises(AttributeError, match="members"):
+        g.members = g.members[:1]
+    assert g != observer_gemenge(0.5, 0.5)  # identity equality, as for states
+    assert copy.deepcopy(g).probabilities == g.probabilities
+    with pytest.raises(ValueError, match="read-only"):
+        g.members[0][0].amplitudes[0] = 0.0
 
 
 def test_mixture_density_symmetric_system():

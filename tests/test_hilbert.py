@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,6 +47,15 @@ def test_layout_rejects_non_qubit_dims():
         SpaceLayout((("S", 3),))
 
 
+def test_layout_is_a_hashable_value():
+    same = SpaceLayout((("S", 2), ("D", 2)))
+    assert same == SD and same is not SD and hash(same) == hash(SD)
+    assert len({SD, same, SpaceLayout.of("D", "S")}) == 2
+    assert SD != SpaceLayout.of("D", "S") and SD != SD.factors
+    with pytest.raises(AttributeError):
+        SD.factors = S.factors
+
+
 def test_layout_axis_and_total_dim():
     assert SDO.total_dim == 8
     assert SDO.axis("D") == 1
@@ -70,6 +82,33 @@ def test_state_amplitudes_are_frozen():
     state = basis_state(S, [0])
     with pytest.raises(ValueError):
         state.amplitudes[0] = 0.0
+
+
+@pytest.mark.parametrize("kind", ["state", "density"])
+def test_states_reject_attribute_assignment_and_compare_by_identity(kind):
+    state = basis_state(S, [0])
+    value, name = (state, "amplitudes") if kind == "state" else (state.density(), "matrix")
+    for attr in ("layout", name):
+        with pytest.raises(AttributeError, match=attr):
+            setattr(value, attr, getattr(value, attr))
+        with pytest.raises(AttributeError):
+            delattr(value, attr)
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(value, name)[0] = 0.0
+    assert value == value and value != type(value)(value.layout, getattr(value, name))
+
+
+@pytest.mark.parametrize(
+    "clone", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))]
+)
+def test_values_survive_copy_and_pickle(clone):
+    assert clone(SD) == SD
+    state = basis_state(SD, [0, 1])
+    for value, name in ((state, "amplitudes"), (state.density(), "matrix")):
+        twin = clone(value)
+        assert twin.layout == value.layout
+        assert np.array_equal(getattr(twin, name), getattr(value, name))
+        assert not getattr(twin, name).flags.writeable
 
 
 # ------------------------------------------------------------ tensor_state

@@ -8,7 +8,6 @@ the direction sweep comes straight from the batched kernel; it may differ
 from the per-direction loop by 1e-13.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -81,7 +80,7 @@ def test_channel_information_equals_oracle(name):
     got = channel_information(a)
     want = _oracle.channel_information(a)
     assert abs(got.post_channel_k_min - want.post_channel_k_min) <= POST_CHANNEL_TOL
-    assert got == dataclasses.replace(want, post_channel_k_min=got.post_channel_k_min)
+    assert got == want._replace(post_channel_k_min=got.post_channel_k_min)
 
 
 def test_grid_tie_at_zero_and_pi_picks_zero():

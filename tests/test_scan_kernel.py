@@ -10,7 +10,6 @@ the scalar objective, so the reports equal the per-point loops of
 batches, so its memory does not grow with ``n_directions``.
 """
 
-import dataclasses
 import math
 import tracemalloc
 
@@ -161,7 +160,7 @@ def test_scans_equal_oracle_on_random_complex_pairs(index):
     got = channel_information(a)
     want = _oracle.channel_information(a)
     assert abs(got.post_channel_k_min - want.post_channel_k_min) <= POST_CHANNEL_TOL
-    assert got == dataclasses.replace(want, post_channel_k_min=got.post_channel_k_min)
+    assert got == want._replace(post_channel_k_min=got.post_channel_k_min)
 
 
 # ------------------------------------------------------------ direction sweep
