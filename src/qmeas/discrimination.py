@@ -286,7 +286,7 @@ def _stacked_states(target: StateVector, branches: Sequence[StateVector]) -> np.
 
 def _apply(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """products[n, s] = matrices[n] @ vectors[s]."""
-    return np.stack([matrices @ v for v in vectors], axis=1)
+    return np.matmul(matrices[:, None], vectors[None, :, :, None])[..., 0]
 
 
 def _eigen_residuals(products: np.ndarray, vectors: np.ndarray, tol: float):
@@ -299,7 +299,9 @@ def _eigen_residuals(products: np.ndarray, vectors: np.ndarray, tol: float):
     if np.max(np.abs(lam.imag)) > ATOL_IMAG:
         raise InvariantViolation("expectation of Hermitian operator is not real")
     lam = lam.real
-    residual = np.linalg.norm(products - lam[..., None] * vectors, axis=-1)
+    deviation = products - lam[..., None] * vectors
+    # np.linalg.norm(deviation, axis=-1), without its per-call dispatch
+    residual = np.sqrt(np.add.reduce((deviation.conj() * deviation).real, axis=-1))
     return lam, np.all(residual <= tol, axis=1)
 
 
@@ -345,13 +347,16 @@ def _sphere_rows(n: int, start: int, size: int) -> np.ndarray:
 
 _POINTER_BASIS = np.stack([PAULI_Z, PAULI_X, PAULI_Y])
 _POINTER_FAMILY = "{} pointer algebra on the coefficient sphere ({} grid + {} random points)"
-_CHUNK = 64  # per batch; 256 is faster but lifts `nogo` peak RSS 6% (1024: 18%)
+# rows per batch; 256 is faster but lifts `nogo` peak RSS 6% (1024: 18%).
+# O and D batches take _CHUNK * dim // 3 directions, so their (rows, 3, dim)
+# products hold as many entries as (_CHUNK, dim, dim) matrices
+_CHUNK = 64
 
 
-def _chunks(n: int):
+def _chunks(n: int, size: int = _CHUNK):
     """(start, size) of the consecutive batches that cover ``range(n)``."""
-    for start in range(0, n, _CHUNK):
-        yield start, min(_CHUNK, n - start)
+    for start in range(0, n, size):
+        yield start, min(size, n - start)
 
 
 def _hermitians(parts: np.ndarray) -> np.ndarray:
@@ -365,25 +370,25 @@ def _hermitians(parts: np.ndarray) -> np.ndarray:
 def _random_hermitians(n: int, dim: int, rng: np.random.Generator):
     """(start, matrices) per batch; each matrix draws its real, then imaginary part."""
     for start, size in _chunks(n):
-        yield start, _hermitians(rng.normal(size=(size, 2, dim, dim)))
+        yield start, _hermitians(rng.standard_normal((size, 2, dim, dim)))
 
 
 def _forcing_draws(n: int, dim: int, rng: np.random.Generator):
     """(g1, g2, H) per batch; sample k draws g1, g2, then H as above, and
     g2 = g1 on even k so that the target passes the eigenstate test."""
     for start, size in _chunks(n):
-        draw = rng.normal(size=(size, 2 + 2 * dim * dim))
+        draw = rng.standard_normal((size, 2 + 2 * dim * dim))
         g2 = np.where(np.arange(start, start + size) % 2 == 0, draw[:, 0], draw[:, 1])
         yield draw[:, 0], g2, _hermitians(draw[:, 2:].reshape(size, 2, dim, dim))
 
 
-def _pointer_directions(n_grid: int, n_random: int, rng: np.random.Generator):
-    """Pointer-algebra coefficients per batch, in scan order: grid, then random."""
-    for start, size in _chunks(n_grid):
+def _pointer_directions(n_grid: int, n_random: int, rng: np.random.Generator, rows: int):
+    """Pointer-algebra coefficients in batches of ``rows``, in scan order: grid, then random."""
+    for start, size in _chunks(n_grid, rows):
         yield _sphere_rows(n_grid, start, size)
-    for _, size in _chunks(n_random):
-        rows = rng.normal(size=(size, 3))
-        yield rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    for _, size in _chunks(n_random, rows):
+        draws = rng.standard_normal((size, 3))
+        yield draws / np.linalg.norm(draws, axis=1, keepdims=True)
 
 
 def forcing_check(
@@ -487,7 +492,7 @@ def nogo_search(
             tensors = vectors.reshape(3, 2**axis, 2, -1)
             basis = np.einsum("kij,sajb->ksaib", checked_hermitian(_POINTER_BASIS), tensors)
             basis = basis.reshape(3, 3 * dim)
-            for directions in _pointer_directions(n_grid, n_random, rng):
+            for directions in _pointer_directions(n_grid, n_random, rng, _CHUNK * dim // 3):
                 products = (directions @ basis).reshape(len(directions), 3, dim)
                 yield products, lambda n, directions=directions: tuple(directions[n])
         else:
@@ -511,6 +516,9 @@ def nogo_search(
     max_min_gap = 0.0
     for products, label in candidate_chunks():
         lam, passed = _eigen_residuals(products, vectors, tol)
+        if not passed.any():  # every gap is 0: nothing to record
+            n_tested += len(products)
+            continue
         # min(|g0 - g1|, |g0 - g2|) of candidates all three states passed, else 0
         gaps = np.minimum(np.abs(lam[:, 0] - lam[:, 1]), np.abs(lam[:, 0] - lam[:, 2]))
         gaps = np.where(passed, gaps, 0.0)

@@ -343,6 +343,18 @@ def test_nogo_search_validates_inputs():
         nogo_search("X", states, 10_000)
 
 
+@pytest.mark.parametrize("n_env", [1, 2])
+def test_nogo_search_finds_nothing_on_the_decohered_chain(n_env):
+    # the environment qubits tag the branches, and still no observable of the
+    # observer, the detector or the whole space (dim 16, 32) tells them apart
+    psi = decohere(measurement_chain_state(0.6, 0.8), n_env, 0.5)
+    states = (psi, branch_state(1, psi.layout, 0.5), branch_state(2, psi.layout, 0.5))
+    for scope in ("O", "D", "MS"):
+        verdict = nogo_search(scope, states, 10_000)
+        assert not verdict.found and not verdict.out_of_regime
+        assert verdict.max_min_gap <= 1e-8
+
+
 def test_fibonacci_sphere_is_deterministic_and_unit():
     a = fibonacci_sphere(500)
     b = fibonacci_sphere(500)

@@ -1,7 +1,7 @@
 """The batched no-go engine against the per-candidate loop in ``_oracle``.
 
 The engine draws its random candidates in batches and applies them with
-einsum and stacked products, so the comparison requires identical draws,
+einsum and batched matrix products, so the comparison requires identical draws,
 counts, parameters and flags, and floats equal to within 64 ulp of O(1)
 quantities: the summation order of a matrix-vector product may differ from
 the loop's, nothing else does.
@@ -9,6 +9,7 @@ the loop's, nothing else does.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ import pytest
 import _oracle
 from qmeas import discrimination
 from qmeas.discrimination import (
+    _apply,
+    _eigen_residuals,
     _forcing_draws,
     _pointer_directions,
     _random_hermitians,
@@ -40,6 +43,14 @@ STATES = (measurement_chain_state(0.6, 0.8j), branch_state(1, SDO), branch_state
 # grid/random split would draw different candidates
 N = 10_013
 FLOAT_TOL = 64 * np.finfo(float).eps
+# O and D batch rows at dim 8, _CHUNK * dim // 3: their (rows, 3, dim)
+# products hold as many entries as the (64, dim, dim) matrices of an MS batch
+OD_ROWS = 170
+# psi's residual under d0 P_z + d1 P_x + d2 P_y on O is sqrt(1 - (0.28 d0)^2),
+# smallest at the poles.  The grid comes nearest them at |d0| = 1 - 1/5006;
+# just below its residual no grid point passes, and the first candidate that
+# passes all three eigenstate tests is random direction 3603 (|d0| = 0.99982)
+LATE_HIT_TOL = math.sqrt(1.0 - (0.28 * (1.0 - 1.0 / (N // 2))) ** 2) - 1e-7
 
 
 def _leaves(value):
@@ -69,14 +80,9 @@ def test_engine_matches_per_candidate_loop(scope, tol):
 
 
 def test_engine_stops_mid_batch_like_the_loop():
-    # psi's residual under d0 P_z + d1 P_x + d2 P_y on O is
-    # sqrt(1 - (0.28 d0)^2), smallest at the poles.  The grid comes nearest
-    # them at |d0| = 1 - 1/5006; just below its residual no grid point
-    # passes, and the first candidate that passes all three eigenstate tests
-    # is random direction 3603 (|d0| = 0.99982), the 20th of its batch
-    tol = math.sqrt(1.0 - (0.28 * (1.0 - 1.0 / (N // 2))) ** 2) - 1e-7
-    got = nogo_search("O", STATES, N, tol=tol, seed=3)
-    want = _oracle.nogo_search("O", STATES, N, tol=tol, seed=3)
+    # random direction 3603 = 21 * 170 + 33 is the 34th of its batch
+    got = nogo_search("O", STATES, N, tol=LATE_HIT_TOL, seed=3)
+    want = _oracle.nogo_search("O", STATES, N, tol=LATE_HIT_TOL, seed=3)
     assert got.found and got.n_candidates_tested == N // 2 + 3604
     assert_same_verdict(got, want)
 
@@ -90,20 +96,22 @@ def test_forcing_check_matches_per_sample_loop(n_samples):
 
 def test_grid_batches_equal_the_whole_sphere_bit_for_bit():
     # each batch computes its own rows, so memory does not grow with n_grid
-    n = 5001  # 78 full batches and a partial one
-    got = np.concatenate(list(_pointer_directions(n, 0, None)))
+    n = 5001  # 29 full batches and a partial one
+    got = np.concatenate(list(_pointer_directions(n, 0, None, OD_ROWS)))
     assert np.array_equal(got, fibonacci_sphere(n))
 
 
 def test_batched_draws_equal_sequential_draws():
-    # 150 random draws span three batches, the last one partial
+    # 400 random directions span three O/D batches and 150 random matrices
+    # three MS batches, the last one partial in both
     dim = SDO.total_dim
-    n_grid, n_random = 70, 150
+    n_grid, n_directions, n_random = 70, 400, 150
     sequential = np.random.default_rng(3)
-    rows = [sequential.normal(size=3) for _ in range(n_random)]
+    rows = [sequential.normal(size=3) for _ in range(n_directions)]
     want = np.concatenate([fibonacci_sphere(n_grid), [r / np.linalg.norm(r) for r in rows]])
-    got = np.concatenate(list(_pointer_directions(n_grid, n_random, np.random.default_rng(3))))
-    np.testing.assert_allclose(got, want, rtol=FLOAT_TOL, atol=FLOAT_TOL)
+    batches = list(_pointer_directions(n_grid, n_directions, np.random.default_rng(3), OD_ROWS))
+    assert [len(b) for b in batches] == [70, OD_ROWS, OD_ROWS, 60]
+    np.testing.assert_allclose(np.concatenate(batches), want, rtol=FLOAT_TOL, atol=FLOAT_TOL)
 
     sequential = np.random.default_rng(3)
     want = []
@@ -129,6 +137,94 @@ def test_batched_draws_equal_sequential_draws():
     assert np.array_equal(got_h, [h for _, _, h in want])
 
 
+def _stacked_apply(matrices, vectors):
+    """The per-vector stack that ``_apply``'s broadcast matmul replaced."""
+    return np.stack([matrices @ v for v in vectors], axis=1)
+
+
+def _norm_eigen_residuals(products, vectors, tol):
+    """``_eigen_residuals`` with its residual from ``np.linalg.norm``."""
+    lam = np.einsum("si,nsi->ns", vectors.conj(), products).real
+    residual = np.linalg.norm(products - lam[..., None] * vectors, axis=-1)
+    return lam, np.all(residual <= tol, axis=1)
+
+
+def _random_stack(dim, n_vectors):
+    """64 random Hermitian matrices of ``dim`` and ``n_vectors`` unit vectors."""
+    rng = np.random.default_rng(dim + n_vectors)
+    matrices = discrimination._hermitians(rng.standard_normal((64, 2, dim, dim)))
+    vectors = rng.standard_normal((n_vectors, dim)) + 1j * rng.standard_normal((n_vectors, dim))
+    return matrices, vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
+
+
+STACKS = pytest.mark.parametrize(
+    "dim, n_vectors", [(dim, n) for dim in (2, 4, 8, 16) for n in (1, 3)]
+)
+
+
+@STACKS
+def test_apply_equals_the_per_vector_stack(dim, n_vectors):
+    matrices, vectors = _random_stack(dim, n_vectors)
+    assert np.array_equal(_apply(matrices, vectors), _stacked_apply(matrices, vectors))
+
+
+@STACKS
+def test_eigen_residuals_equal_the_norm_residuals(dim, n_vectors):
+    # a tolerance at a candidate's largest norm residual, or one ulp below it,
+    # flips that candidate's mask if its inlined residual differs by one ulp
+    matrices, vectors = _random_stack(dim, n_vectors)
+    products = _apply(matrices, vectors)
+    lam = np.einsum("si,nsi->ns", vectors.conj(), products).real
+    largest = np.linalg.norm(products - lam[..., None] * vectors, axis=-1).max(axis=1)
+    for tol in np.concatenate([largest, np.nextafter(largest, 0.0)]):
+        got = _eigen_residuals(products, vectors, tol)
+        want = _norm_eigen_residuals(products, vectors, tol)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert np.array_equal(got[1], largest <= tol)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 0.7, 1.2, LATE_HIT_TOL])
+def test_verdicts_do_not_depend_on_the_batch_rows(monkeypatch, tol):
+    # the same scans in 64-row O/D batches, with the per-vector stack and the
+    # norm residuals, give the same verdicts bit for bit
+    scopes = ("O", "D", "MS")
+    got = [nogo_search(scope, STATES, N, tol=tol, seed=3) for scope in scopes]
+    rows_asked = []
+    pointer_directions = discrimination._pointer_directions
+
+    def at_64_rows(n_grid, n_random, rng, rows):
+        rows_asked.append(rows)
+        return pointer_directions(n_grid, n_random, rng, 64)
+
+    monkeypatch.setattr(discrimination, "_pointer_directions", at_64_rows)
+    monkeypatch.setattr(discrimination, "_apply", _stacked_apply)
+    monkeypatch.setattr(discrimination, "_eigen_residuals", _norm_eigen_residuals)
+    want = [nogo_search(scope, STATES, N, tol=tol, seed=3) for scope in scopes]
+    assert rows_asked == [OD_ROWS, OD_ROWS]
+    assert got == want
+
+
+@pytest.mark.parametrize("scope", ["O", "D", "MS", "forcing"])
+def test_scan_memory_stays_bounded(scope):
+    # a scan holds one batch at a time: about 0.3 MB for O/D and 0.4 MB for
+    # MS at 20000 candidates, 0.55 MB for the forcing check; 1024-row O/D
+    # batches would peak at about 1.4 MB
+    if scope == "forcing":
+        def run():
+            return forcing_check(STATES)
+    else:
+        def run():
+            return nogo_search(scope, STATES, 20_000)
+    run()  # one-time set-up inside numpy is not the scan's
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def _rotated_detector(states, angle):
     """The states with the detector qubit turned by ``angle`` about y."""
     c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
@@ -140,13 +236,13 @@ def _rotated_detector(states, angle):
 
 
 def test_engine_labels_a_late_detector_hit_like_the_loop():
-    # With the detector turned by 0.35 rad the passing directions form a cap
+    # With the detector turned by 0.6 rad the passing directions form a cap
     # away from the pole, and the first grid point inside it lies in the
     # third batch
-    states = _rotated_detector(STATES, 0.35)
+    states = _rotated_detector(STATES, 0.6)
     got = nogo_search("D", states, N, tol=0.9601, seed=3)
     want = _oracle.nogo_search("D", states, N, tol=0.9601, seed=3)
-    assert got.found and 128 < got.n_candidates_tested < 192
+    assert got.found and 2 * OD_ROWS < got.n_candidates_tested < 3 * OD_ROWS
     assert type(got.witness[0]) is tuple
     assert all(type(d) is np.float64 for d in got.witness[0])
     assert_same_verdict(got, want)
