@@ -349,7 +349,8 @@ _POINTER_BASIS = np.stack([PAULI_Z, PAULI_X, PAULI_Y])
 _POINTER_FAMILY = "{} pointer algebra on the coefficient sphere ({} grid + {} random points)"
 # rows per batch; 256 is faster but lifts `nogo` peak RSS 6% (1024: 18%).
 # O and D batches take _CHUNK * dim // 3 directions, so their (rows, 3, dim)
-# products hold as many entries as (_CHUNK, dim, dim) matrices
+# products hold as many entries as (_CHUNK, dim, dim) matrices; the direction
+# sweep's dim x dim batches hold those of a 64-row MS batch at dim 8
 _CHUNK = 64
 
 
@@ -642,7 +643,7 @@ def channel_information(
     pure_d = partial_trace(pure_sd, [DETECTOR])
     mixed_d = partial_trace(mixed_sd, [DETECTOR])
     post_k = 1.0
-    for start, size in _chunks(n_directions):
+    for start, size in _chunks(n_directions, _CHUNK * 64 // pure_d.layout.total_dim**2):
         # d0 P_z + d1 P_x + d2 P_y for each direction (d0, d1, d2)
         directions = _sphere_rows(n_directions, start, size)
         matrices = np.einsum("nk,kab->nab", directions, _POINTER_BASIS)

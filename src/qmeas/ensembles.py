@@ -6,7 +6,9 @@ Sampling uses counter-based per-event streams derived from a single 64-bit
 seed, so every event is reproducible and independent of every other:
 identical (seed, event_index) always yields the identical uniform, and
 ``run_ensemble`` may draw the events in any blocks and aggregate them in any
-order.
+order.  ``run_ensemble`` never forms the uniforms: u_k = (z_k >> 11) 2^-53
+is below p1 exactly when the key z_k is below ceil(p1 2^53) << 11, an
+integer test with no rounding.
 """
 
 from __future__ import annotations
@@ -34,24 +36,30 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _INV_TWO53 = 1.0 / float(2**53)
-_BLOCK = 1 << 15  # events per block: a block's keys stay in cache and memory stays constant
+# events per block: run_ensemble reuses one key and one scratch buffer of this
+# size, which stay in cache, so memory does not grow with the event count
+_BLOCK = 1 << 15
+
+
+def _splitmix64(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer applied to ``z`` in place; ``scratch`` has its shape."""
+    for shift, mix in ((30, _MIX1), (27, _MIX2), (31, None)):
+        np.right_shift(z, np.uint64(shift), out=scratch)
+        np.bitwise_xor(z, scratch, out=z)
+        if mix is not None:
+            np.multiply(z, mix, out=z)
+    return z
 
 
 def stream_keys(seed: int, start: int, count: int) -> np.ndarray:
     """64-bit stream key per event counter: a splitmix64 finalizer of (seed, index)."""
     if count < 0 or start < 0:
         raise ValueError("start and count must be nonnegative")
-    with np.errstate(over="ignore"):
-        z = np.arange(start, start + count, dtype=np.uint64)
-        z += np.uint64(1)
-        z *= _GOLDEN
-        z += np.uint64(seed % 2**64)
-        z ^= z >> np.uint64(30)
-        z *= _MIX1
-        z ^= z >> np.uint64(27)
-        z *= _MIX2
-        z ^= z >> np.uint64(31)
-    return z
+    z = np.arange(start, start + count, dtype=np.uint64)
+    z += np.uint64(1)
+    z *= _GOLDEN
+    z += np.uint64(seed % 2**64)
+    return _splitmix64(z, np.empty_like(z))
 
 
 def stream_uniform(seed: int, start: int, count: int) -> np.ndarray:
@@ -110,7 +118,7 @@ def mixture_density(gemenge: Gemenge) -> DensityMatrix:
 def collapse_gemenge(a1: complex, a2: complex) -> Gemenge:
     """Observer-side branch gemenge with Born weights |a_i|^2."""
     p1, p2 = abs(a1) ** 2, abs(a2) ** 2
-    if abs(p1 + p2 - 1.0) > ATOL_PROBABILITY:
+    if not abs(p1 + p2 - 1.0) <= ATOL_PROBABILITY:  # NaN fails too
         raise InvariantViolation(
             f"|a1|^2 + |a2|^2 = {p1 + p2!r}, expected 1 within {ATOL_PROBABILITY}"
         )
@@ -129,21 +137,31 @@ def run_ensemble(a1: complex, a2: complex, n_events: int, seed: int = 0) -> Freq
         raise ValueError("n_events must be >= 1")
     gemenge = collapse_gemenge(a1, a2)
     p1, p2 = gemenge.probabilities
-    # event k is branch 1 exactly when its uniform u_k < p1
-    n1 = 0
-    for start in range(0, n_events, _BLOCK):
-        uniforms = stream_uniform(seed, start, min(_BLOCK, n_events - start))
-        n1 += int(np.count_nonzero(uniforms < p1))
+    # event k is branch 1 exactly when its uniform u_k < p1, that is when its
+    # key z_k < ceil(p1 2^53) << 11; a threshold of 2^53 or more admits every key
+    edge = math.ceil(p1 * 2.0**53)
+    if edge >= 2**53:
+        n1 = n_events
+    else:
+        threshold = np.uint64(edge << 11)
+        block = min(_BLOCK, n_events)
+        # key of event start + i: offsets[i] + (start + 1) G + seed, mod 2^64
+        offsets = np.arange(block, dtype=np.uint64) * _GOLDEN
+        keys, scratch = np.empty(block, np.uint64), np.empty(block, np.uint64)
+        n1 = 0
+        for start in range(0, n_events, block):
+            size = min(block, n_events - start)
+            base = np.uint64(((start + 1) * int(_GOLDEN) + seed) % 2**64)
+            z = _splitmix64(np.add(offsets[:size], base, out=keys[:size]), scratch[:size])
+            n1 += int(np.count_nonzero(z < threshold))
     n2 = n_events - n1
     return FrequencyReport(
         n_events=n_events,
         counts=(n1, n2),
         frequencies=(n1 / n_events, n2 / n_events),
         born_probabilities=(p1, p2),
-        standard_errors=(
-            math.sqrt(p1 * (1.0 - p1) / n_events),
-            math.sqrt(p2 * (1.0 - p2) / n_events),
-        ),
+        # a weight may exceed 1 by up to ATOL_PROBABILITY; its error is then 0
+        standard_errors=tuple(math.sqrt(max(0.0, p * (1.0 - p)) / n_events) for p in (p1, p2)),
     )
 
 

@@ -10,9 +10,10 @@ The phase scans (``optimal_phase``, ``interference_phase_scan``,
 at every grid point and every sphere direction, then refine around the
 first grid extremum: the loops the batched scans must reproduce.
 
-``run_ensemble`` draws the uniforms of all events as one array and maps them
-to members with ``searchsorted``: the whole-array sampler that the streamed
-block sampler in ``qmeas.ensembles`` must reproduce count for count.
+``run_ensemble`` draws the uniforms of all events as one array from the
+``stream_keys`` below and maps them to members with ``searchsorted``: the
+whole-array sampler that the streamed block sampler in ``qmeas.ensembles``
+must reproduce count for count, sharing none of its sampling code.
 
 ``stream_keys`` is the splitmix64 key expression written one array per
 step: the keys the in-place version in ``qmeas.ensembles`` must reproduce.
@@ -42,7 +43,6 @@ from qmeas.ensembles import (
     Gemenge,
     collapse_gemenge,
     mixture_density,
-    stream_uniform,
 )
 from qmeas.hilbert import (
     DEFAULT_EIGENSTATE_TOL,
@@ -321,7 +321,7 @@ def run_ensemble(a1, a2, n_events, seed=0):
         raise ValueError("n_events must be >= 1")
     gemenge = collapse_gemenge(a1, a2)
     cumulative = np.cumsum(gemenge.probabilities)
-    uniforms = stream_uniform(seed, 0, n_events)
+    uniforms = (stream_keys(seed, 0, n_events) >> np.uint64(11)).astype(np.float64) * 2.0**-53
     members = np.searchsorted(cumulative, uniforms, side="right")
     n1 = int(np.count_nonzero(members == 0))
     n2 = n_events - n1

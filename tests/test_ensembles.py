@@ -1,6 +1,7 @@
 import copy
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -190,6 +191,53 @@ BLOCK = ensembles._BLOCK
 @pytest.mark.parametrize("a1, a2", [(0.6, 0.8), (1, 0), (0, 1), (0.28, 0.96j)])
 def test_run_ensemble_equals_whole_array_sampler(a1, a2, seed, n):
     assert run_ensemble(a1, a2, n, seed) == _oracle.run_ensemble(a1, a2, n, seed)
+
+
+def _unshift(z, shift):
+    x = z
+    for _ in range(64 // shift + 1):
+        x = z ^ (x >> shift)
+    return x
+
+
+def _seed_with_key(key, k):
+    """The seed under which event k's stream key is ``key``: splitmix64 run backwards."""
+    z = _unshift(key, 31)
+    for mix, shift in ((_oracle._MIX2, 27), (_oracle._MIX1, 30)):
+        z = _unshift(z * pow(int(mix), -1, 2**64) % 2**64, shift)
+    return (z - (k + 1) * int(_oracle._GOLDEN)) % 2**64
+
+
+THRESHOLD_P1 = [
+    0.0,
+    1e-160**2,
+    2.0**-53,
+    math.nextafter(0.5, 0.0),
+    0.5,
+    0.7071067811865476**2,
+    0.36,
+    1.0,
+    1.0 + 8e-13,
+]
+
+
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK + 1, 3 * BLOCK + 5])
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, "key below edge", "key at edge"])
+@pytest.mark.parametrize("p1", THRESHOLD_P1)
+def test_run_ensemble_counts_equal_uniforms_below_p1(monkeypatch, p1, seed, n):
+    # u_k < p1 exactly when key >> 11 < edge; a seed string puts the last
+    # event's key on one side of edge << 11, which a floor for the ceil or a
+    # <= for the < in the integer threshold miscounts by one
+    if isinstance(seed, str):
+        edge = math.ceil(Fraction(p1) * 2**53)
+        key = min(max((edge << 11) - (seed == "key below edge"), 0), 2**64 - 1)
+        seed = _seed_with_key(key, n - 1)
+        assert _oracle.stream_keys(seed, n - 1, 1)[0] == key
+    p2 = max(0.0, 1.0 - p1)
+    monkeypatch.setattr(ensembles, "collapse_gemenge", lambda a1, a2: observer_gemenge(p1, p2))
+    report = run_ensemble(None, None, n, seed)
+    assert report.born_probabilities == (p1, p2)
+    assert report.counts[0] == np.count_nonzero(stream_uniform(seed, 0, n) < p1)
 
 
 def _peak_bytes(n_events):

@@ -165,7 +165,7 @@ def test_scans_equal_oracle_on_random_complex_pairs(index):
 
 # ------------------------------------------------------------ direction sweep
 
-@pytest.mark.parametrize("n_directions", [MIN_DIRECTIONS, 4099])
+@pytest.mark.parametrize("n_directions", [MIN_DIRECTIONS, 4099, 200_000])
 def test_direction_sweep_equals_the_whole_array_minimum(n_directions):
     a = (0.28, 0.96j)
     pure_sd, mixed_sd = matched_pair(a, "SD")
