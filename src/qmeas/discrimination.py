@@ -23,7 +23,6 @@ import numpy as np
 
 from .hilbert import (
     ATOL_IMAG,
-    ATOL_PROB_SUM,
     DEFAULT_EIGENSTATE_TOL,
     DensityMatrix,
     InvariantViolation,
@@ -31,9 +30,10 @@ from .hilbert import (
     SpaceLayout,
     State,
     StateVector,
+    born,
     checked_hermitian,
+    eigen_groups,
     expectation,
-    group_starts,
     outcome_distribution,
     outcome_weights,
     partial_trace,
@@ -103,18 +103,27 @@ def overlap(obs: Observable, state1: State, state2: State) -> OverlapReport:
     return OverlapReport(obs.name or "G", k, rows)
 
 
-def _k_value(matrix: np.ndarray, state1: State, state2: State) -> float:
-    """``overlap(Observable(layout, matrix), state1, state2).k_value``, bit for bit.
+def _overlaps(matrices: np.ndarray, state1: State, state2: State) -> np.ndarray:
+    """``overlap`` under each matrix of a Hermitian stack, bit for bit.
 
-    The same Hermiticity gate, ``eigh``, grouping, projectors and checked
-    weights, without building the observable, its spectrum records or the
-    report.
+    Row n equals ``overlap(Observable(layout, matrices[n]), state1,
+    state2).k_value``: the same gate, ``eigh``, grouping, projectors and
+    checked Born weights, stacked over the rows that share one group
+    structure, and the same left-to-right sum over the groups.
     """
     require_same_layout(state1, state2)
-    values, vectors = np.linalg.eigh(checked_hermitian(np.asarray(matrix, dtype=complex)))
-    projectors = [projector for _, _, projector in spectral_projectors(values, vectors)]
-    weights = zip(outcome_weights(state1, projectors), outcome_weights(state2, projectors))
-    return float(sum(min(w1, w2) for w1, w2 in weights))
+    values, vectors = np.linalg.eigh(checked_hermitian(matrices))
+    joined = eigen_groups(values)
+    if (joined == joined[0]).all():  # every scanned family has one group structure
+        structures = [(joined[0], slice(None))]
+    else:
+        structures = [(p, (joined == p).all(axis=1)) for p in np.unique(joined, axis=0)]
+    k = np.empty(len(values))
+    for pattern, rows in structures:
+        projectors = np.array([p for _, _, p in spectral_projectors(vectors[rows], pattern)])
+        w1, w2 = (outcome_weights(state, projectors) for state in (state1, state2))
+        k[rows] = sum(np.minimum(w1, w2))
+    return k
 
 
 def _single_qubit(state: State) -> None:
@@ -122,11 +131,15 @@ def _single_qubit(state: State) -> None:
         raise ValueError("purity rate is defined on a single-qubit state")
 
 
+def _spin_expectations(rho_s: State, gamma) -> np.ndarray:
+    """<S_a(gamma)> at a phase or each of an array, through ``expectation``'s Born form."""
+    return born(checked_hermitian(conjugate_spin_matrix(gamma)), rho_s)
+
+
 def purity_rate(rho_s: State, gamma: float) -> float:
     """Pure-vs-mixed signature 2|<S_a(gamma)>|, between 0 and 1."""
     _single_qubit(rho_s)
-    op = Observable(rho_s.layout, conjugate_spin_matrix(gamma), name="S_a")
-    return 2.0 * abs(expectation(rho_s, op))
+    return 2.0 * abs(float(_spin_expectations(rho_s, gamma)))
 
 
 class PhaseScanResult(NamedTuple):
@@ -136,49 +149,33 @@ class PhaseScanResult(NamedTuple):
     purity: float
 
 
-SCAN_TIE_WINDOW = 1e-12  # batched grid values this close to the extremum are re-scored
+SCAN_TIE_WINDOW = 1e-12  # mirrored grid values this close to the extremum are re-scored
 
 
-def _refine_extremum(
-    f: Callable[[float], float], lo: float, hi: float, minimize: bool, iters: int = 80
-) -> tuple[float, float]:
-    for _ in range(iters):
-        third = (hi - lo) / 3.0
-        m1, m2 = lo + third, hi - third
-        f1, f2 = f(m1), f(m2)
-        better = f1 < f2 if minimize else f1 > f2
-        if better:
-            hi = m2
-        else:
-            lo = m1
-    x = 0.5 * (lo + hi)
-    return x, f(x)
+def _batched(objective: Callable[[np.ndarray], np.ndarray], dim: int):
+    """``objective`` over an array of phases in batches of ``_CHUNK * 64 // dim**2``."""
+    rows = _CHUNK * 64 // dim**2
+    return lambda phases: np.concatenate(
+        [objective(phases[start:start + size]) for start, size in _chunks(len(phases), rows)]
+    )
 
 
 def _scan_extremum(
-    batched: Callable[[np.ndarray], np.ndarray],
-    scalar: Callable[[float], float],
-    n_grid: int,
-    minimize: bool,
+    objective: Callable[[np.ndarray], np.ndarray], n_grid: int, minimize: bool
 ) -> tuple[float, float]:
-    """Phase in [0, 2 pi) extremizing ``scalar``: grid scan plus refinement.
+    """Phase in [0, 2 pi) extremizing ``objective``: grid scan plus refinement.
 
-    ``batched(phases)`` evaluates the objective on a batch of grid points and
-    only ranks them.  Every scanned family is linear in (cos p, sin p), so
-    G(p + pi) = -G(p), and K and 2|<S_a>| are invariant under G -> -G:
-    ``batched`` runs on the first half of the (even) grid only and its
-    values are copied onto the second half.  The grid points within
-    ``SCAN_TIE_WINDOW`` of the batched extremum are re-scored with
-    ``scalar``, and the first extremal one under ``scalar`` is refined with
-    ``scalar`` by ternary search, so the result is the one a scan with
-    ``scalar`` alone finds (exact grid ties at p and p + pi are the rule).
-
-    The copy cannot change the result.  Every batched value lies within
-    1e-13 of the scalar value at its point, and a copied value differs from
-    the one it replaces by roundoff, about 1e-16.  That moves a point in or
-    out of the window only at the window's edge, where its scalar value
-    sits about 8e-13 above the best re-scored one, so the same point wins.
-    Returns the unwrapped phase and its value.
+    ``objective(phases)`` returns the exact value at each phase of an array.
+    Every scanned family is linear in (cos p, sin p), so G(p + pi) = -G(p),
+    and K and 2|<S_a>| are invariant under G -> -G: the objective runs on
+    the first half of the (even) grid only and its values are copied onto
+    the second half.  A copied value differs from the value at its own point
+    by roundoff, so the grid points within ``SCAN_TIE_WINDOW`` of the copied
+    extremum are scored again at their own phases, and the first extremal
+    one is refined by an 80-step ternary search that scores each pair of
+    inner points in one call.  The result is the one a point-by-point scan
+    finds (exact grid ties at p and p + pi are the rule).  Returns the
+    unwrapped phase and its value.
     """
     if n_grid < MIN_PHASE_GRID:
         raise ValueError(f"phase grid needs at least {MIN_PHASE_GRID} points")
@@ -186,63 +183,19 @@ def _scan_extremum(
         raise ValueError(f"phase grid needs an even number of points, got {n_grid}")
     grid = np.linspace(0.0, 2.0 * math.pi, n_grid, endpoint=False)
     sign = 1.0 if minimize else -1.0
-    half = sign * np.concatenate(
-        [batched(grid[start:start + size]) for start, size in _chunks(n_grid // 2)]
-    )
+    half = sign * objective(grid[: n_grid // 2])
     values = np.concatenate([half, half])
     near = np.flatnonzero(values <= values.min() + SCAN_TIE_WINDOW)
-    best = near[int(np.argmin([sign * scalar(grid[i]) for i in near]))]
+    best = grid[near[int(np.argmin(sign * objective(grid[near])))]]
     step = 2.0 * math.pi / n_grid
-    return _refine_extremum(scalar, grid[best] - step, grid[best] + step, minimize)
-
-
-def _phase_stack(
-    at_zero: np.ndarray, at_right: np.ndarray, phases: np.ndarray
-) -> np.ndarray:
-    """cos(p) A + sin(p) B for each phase p, with A, B the family at 0 and pi/2.
-
-    The families scanned here are linear in (cos p, sin p).  The stack only
-    ranks grid points, so the last-digit roundoff of cos(pi/2) in B is
-    harmless.
-    """
-    return (np.cos(phases)[:, None, None] * at_zero
-            + np.sin(phases)[:, None, None] * at_right)
-
-
-_S_A_PARTS = (conjugate_spin_matrix(0.0), conjugate_spin_matrix(math.pi / 2.0))
-
-
-def _eigenvector_weights(vectors: np.ndarray, state: State) -> np.ndarray:
-    """w[n, i] = <v|rho|v> for the i-th eigenvector v (column) of vectors[n]."""
-    if isinstance(state, StateVector):
-        return np.abs(np.einsum("nji,j->ni", vectors.conj(), state.amplitudes)) ** 2
-    weights = np.sum(vectors.conj() * (state.matrix @ vectors), axis=1)
-    if np.max(np.abs(weights.imag)) > ATOL_IMAG:
-        raise InvariantViolation("outcome probability is not real")
-    return weights.real
-
-
-def _overlaps(matrices: np.ndarray, state1: State, state2: State) -> np.ndarray:
-    """Batched ``overlap``: K of the two states under each Hermitian matrix.
-
-    Eigenvalues are grouped by the rule of the ``Observable`` spectrum, and
-    each group's weight is the sum of its eigenvectors' weights.
-    """
-    require_same_layout(state1, state2)
-    values, vectors = np.linalg.eigh(checked_hermitian(matrices))
-    starts = group_starts(values)
-    rows = starts // values.shape[1]
-    groups = []
-    for state in (state1, state2):
-        weights = np.add.reduceat(_eigenvector_weights(vectors, state).ravel(), starts)
-        if np.any(weights < -ATOL_PROB_SUM):
-            raise InvariantViolation(f"negative outcome probability {weights.min()!r}")
-        weights = np.maximum(weights, 0.0)
-        deviation = np.bincount(rows, weights, minlength=len(values)) - 1.0
-        if np.max(np.abs(deviation)) > ATOL_PROB_SUM:
-            raise InvariantViolation("outcome probabilities do not sum to one")
-        groups.append(weights)
-    return np.bincount(rows, np.minimum(*groups), minlength=len(values))
+    lo, hi = best - step, best + step
+    for _ in range(80):
+        third = (hi - lo) / 3.0
+        m1, m2 = lo + third, hi - third
+        f1, f2 = sign * objective(np.array([m1, m2]))
+        lo, hi = (lo, m2) if f1 < f2 else (m1, hi)
+    x = 0.5 * (lo + hi)
+    return x, float(objective(np.array([x]))[0])
 
 
 def optimal_phase(rho_s: State, n_grid: int = MIN_PHASE_GRID) -> PhaseScanResult:
@@ -254,20 +207,14 @@ def optimal_phase(rho_s: State, n_grid: int = MIN_PHASE_GRID) -> PhaseScanResult
     reported with ``gamma=None``.
     """
     _single_qubit(rho_s)
-    # <S_a(gamma)> = cos(gamma) <S_a(0)> + sin(gamma) <S_a(pi/2)>
-    at_zero, at_right = (
-        expectation(rho_s, Observable(rho_s.layout, m, name="S_a")) for m in _S_A_PARTS
-    )
     gamma, purity = _scan_extremum(
-        lambda gammas: 2.0 * np.abs(np.cos(gammas) * at_zero + np.sin(gammas) * at_right),
-        lambda g: purity_rate(rho_s, g),
+        _batched(lambda gammas: 2.0 * np.abs(_spin_expectations(rho_s, gammas)), 2),
         n_grid,
         minimize=False,
     )
     if purity <= INDETERMINATE_PURITY:
         return PhaseScanResult(gamma=None, purity=purity)
-    op = Observable(rho_s.layout, conjugate_spin_matrix(gamma), name="S_a")
-    if expectation(rho_s, op) < 0.0:
+    if _spin_expectations(rho_s, gamma) < 0.0:
         gamma -= math.pi
     return PhaseScanResult(gamma=float(gamma % (2.0 * math.pi)), purity=purity)
 
@@ -404,7 +351,7 @@ def forcing_check(
     The identity depends on the state triple only, not on an observable
     family, so one check covers every ``nogo_search`` scope on ``states``.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN fails too
         raise ValueError("tol must be positive")
     psi, b1, b2 = states
     dim = psi.layout.total_dim
@@ -459,7 +406,7 @@ def nogo_search(
         raise ValueError("layout_scope must be one of 'O', 'D', 'MS'")
     if n_candidates < MIN_NOGO_SAMPLES:
         raise ValueError(f"no-go sampling needs at least {MIN_NOGO_SAMPLES} candidates")
-    if tol <= 0:
+    if not tol > 0:  # NaN fails too
         raise ValueError("tol must be positive")
     psi, b1, b2 = states
     vectors = _stacked_states(psi, (b1, b2))
@@ -588,13 +535,12 @@ def interference_phase_scan(
         raise ValueError("scope must be 'MS' or 'SD'")
     pure, mixture = matched_pair(a, scope)
     n_factors = pure.layout.n_factors
-    parts = [interference_matrix(c1, n_factors) for c1 in (1.0, 1j)]
+
+    def k_values(phases: np.ndarray) -> np.ndarray:
+        return _overlaps(interference_matrix(np.exp(1j * phases), n_factors), pure, mixture)
+
     phase, k_min = _scan_extremum(
-        lambda phases: _overlaps(_phase_stack(*parts, phases), pure, mixture),
-        lambda phase: _k_value(interference_matrix(np.exp(1j * phase), n_factors),
-                               pure, mixture),
-        n_grid,
-        minimize=True,
+        _batched(k_values, pure.layout.total_dim), n_grid, minimize=True
     )
     return float(phase % (2.0 * math.pi)), float(k_min)
 
@@ -633,8 +579,7 @@ def channel_information(
 
     pure, mixture = matched_pair(a, "S")
     gamma, pre_k = _scan_extremum(
-        lambda gammas: _overlaps(_phase_stack(*_S_A_PARTS, gammas), pure, mixture),
-        lambda gamma: _k_value(conjugate_spin_matrix(gamma), pure, mixture),
+        _batched(lambda gammas: _overlaps(conjugate_spin_matrix(gammas), pure, mixture), 2),
         n_gamma,
         minimize=True,
     )

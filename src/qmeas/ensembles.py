@@ -83,7 +83,7 @@ class Gemenge(Immutable):
             if p < 0.0:
                 raise ValueError(f"negative probability {p!r}")
         total = sum(p for _, p in members)
-        if abs(total - 1.0) > ATOL_PROBABILITY:
+        if not abs(total - 1.0) <= ATOL_PROBABILITY:  # NaN fails too
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
         object.__setattr__(self, "members", members)
 

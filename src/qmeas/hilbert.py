@@ -119,7 +119,7 @@ class StateVector(Immutable):
                 f"({layout.total_dim},)"
             )
         norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > ATOL_NORM:
+        if not abs(norm - 1.0) <= ATOL_NORM:  # NaN fails too
             raise InvariantViolation(
                 f"state norm {norm!r} deviates from 1 by more than {ATOL_NORM}"
             )
@@ -143,11 +143,11 @@ class DensityMatrix(Immutable):
         arr = np.array(matrix, dtype=np.complex128)
         if arr.shape != (dim, dim):
             raise ValueError(f"matrix has shape {arr.shape}, layout needs ({dim}, {dim})")
-        if np.max(np.abs(arr - arr.conj().T)) > ATOL_HERMITIAN_STORED:
+        if not np.max(np.abs(arr - arr.conj().T)) <= ATOL_HERMITIAN_STORED:
             raise InvariantViolation("density matrix is not Hermitian")
         arr = (arr + arr.conj().T) / 2.0
         trace = float(arr.trace().real)
-        if abs(trace - 1.0) > ATOL_TRACE:
+        if not abs(trace - 1.0) <= ATOL_TRACE:
             raise InvariantViolation(f"density matrix trace {trace!r} is not 1")
         lowest = float(np.linalg.eigvalsh(arr)[0])
         if lowest < -ATOL_PSD:
@@ -207,36 +207,38 @@ class Observable:
 def checked_hermitian(matrices: np.ndarray) -> np.ndarray:
     """Hermiticity gate at ``ATOL_HERMITIAN_INPUT``, then symmetrize; one matrix or a stack."""
     adjoints = matrices.conj().swapaxes(-1, -2)
-    if np.max(np.abs(matrices - adjoints)) > ATOL_HERMITIAN_INPUT:
+    if not np.max(np.abs(matrices - adjoints)) <= ATOL_HERMITIAN_INPUT:  # NaN fails too
         raise InvariantViolation("observable matrix is not Hermitian")
     return (matrices + adjoints) / 2.0
 
 
-def group_starts(values: np.ndarray) -> np.ndarray:
-    """Flat index of each group's first eigenvalue: ``_grouped_spectrum``'s rule per row."""
-    scale = np.maximum(1.0, np.abs(values[:, :-1]))
-    joined = np.diff(values, axis=1) <= EIG_GROUP_RTOL * scale
-    return np.flatnonzero(np.column_stack([np.ones(len(values), dtype=bool), ~joined]))
+def eigen_groups(values: np.ndarray) -> np.ndarray:
+    """Per row of ascending eigenvalues, whether each one joins its predecessor's group.
+
+    l_k joins when l_k - l_(k-1) <= EIG_GROUP_RTOL * max(1, |l_(k-1)|).
+    """
+    before = values[..., :-1]
+    return values[..., 1:] - before <= EIG_GROUP_RTOL * np.maximum(1.0, abs(before))
 
 
-def spectral_projectors(values: np.ndarray, vectors: np.ndarray):
-    """(start, stop, projector) of each eigenvalue group of one ``eigh`` result."""
-    listed = values.tolist()
-    start = 0
-    for k in range(1, len(listed) + 1):
-        last = listed[k - 1]
-        if k < len(listed) and listed[k] - last <= EIG_GROUP_RTOL * max(1.0, abs(last)):
-            continue
-        block = vectors[:, start:k]
-        yield start, k, block @ block.conj().T
-        start = k
+def spectral_projectors(vectors: np.ndarray, joined: np.ndarray):
+    """(start, stop, projector) of each eigenvalue group, in ascending order.
+
+    ``vectors`` holds the ``eigh`` eigenvectors of one matrix or of a stack
+    that shares one row ``joined`` of ``eigen_groups``; a stack yields one
+    projector per matrix.
+    """
+    cuts = [0, *(np.flatnonzero(~joined) + 1).tolist(), len(joined) + 1]
+    for start, stop in zip(cuts, cuts[1:]):
+        block = vectors[..., start:stop]
+        yield start, stop, block @ block.conj().swapaxes(-1, -2)
 
 
 def _grouped_spectrum(matrix: np.ndarray) -> tuple[SpectralEntry, ...]:
     values, vectors = np.linalg.eigh(matrix)
     return tuple(
         SpectralEntry(float(values[start:stop].mean()), _frozen(projector), stop - start)
-        for start, stop, projector in spectral_projectors(values, vectors)
+        for start, stop, projector in spectral_projectors(vectors, eigen_groups(values))
     )
 
 
@@ -344,18 +346,29 @@ def partial_trace(state: State, keep_labels: Sequence[str]) -> DensityMatrix:
     return DensityMatrix(sub, reduced)
 
 
+def born(operators: np.ndarray, state: State) -> np.ndarray:
+    """<psi|G|psi> or Tr(G rho) for one Hermitian G or each of a stack.
+
+    The pure form is the stacked equivalent of ``np.vdot(psi, G @ psi)``,
+    bit for bit.  A tiny imaginary residue is discarded.
+    """
+    if isinstance(state, StateVector):
+        amplitudes = state.amplitudes
+        values = np.matmul(amplitudes.conj(), (operators @ amplitudes)[..., None])[..., 0]
+    else:
+        values = (operators @ state.matrix).trace(axis1=-2, axis2=-1)
+    residue = abs(values.imag).max(initial=0.0)
+    if not residue <= ATOL_IMAG:
+        raise InvariantViolation(
+            f"expectation of Hermitian operator has imaginary part {residue!r}"
+        )
+    return values.real
+
+
 def expectation(state: State, op: Observable) -> float:
     """<psi|G|psi> or Tr(rho G); tiny imaginary residue is discarded."""
     require_same_layout(state, op)
-    if isinstance(state, StateVector):
-        value = complex(np.vdot(state.amplitudes, op.matrix @ state.amplitudes))
-    else:
-        value = complex(np.trace(op.matrix @ state.matrix))
-    if abs(value.imag) > ATOL_IMAG:
-        raise InvariantViolation(
-            f"expectation of Hermitian operator has imaginary part {value.imag!r}"
-        )
-    return float(value.real)
+    return float(born(op.matrix, state))
 
 
 def is_eigenstate(
@@ -365,7 +378,7 @@ def is_eigenstate(
 
     Returns ``lam = <psi|G|psi>`` when ``||G psi - lam psi|| <= tol``, else None.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN fails too
         raise ValueError("tol must be positive")
     require_same_layout(state, op)
     lam = expectation(state, op)
@@ -375,19 +388,18 @@ def is_eigenstate(
     return lam if residual <= tol else None
 
 
-def outcome_weights(state: State, projectors) -> list[float]:
-    """Born weight of ``state`` on each projector, checked to form a distribution."""
-    weights: list[float] = []
-    for projector in projectors:
-        if isinstance(state, StateVector):
-            weight = float(np.real(np.vdot(state.amplitudes, projector @ state.amplitudes)))
-        else:
-            weight = float(np.trace(projector @ state.matrix).real)
-        if weight < -ATOL_PROB_SUM:
-            raise InvariantViolation(f"negative outcome probability {weight!r}")
-        weights.append(max(weight, 0.0))
+def outcome_weights(state: State, projectors) -> np.ndarray:
+    """Born weight of ``state`` on each projector, checked to form a distribution.
+
+    Row g holds the weight on ``projectors[g]``, or one weight per matrix
+    when each is a stack; negative roundoff is clamped to zero.
+    """
+    weights = born(np.asarray(projectors), state)
+    if (weights < -ATOL_PROB_SUM).any():
+        raise InvariantViolation(f"negative outcome probability {float(weights.min())!r}")
+    weights = np.maximum(weights, 0.0)
     total = sum(weights)
-    if abs(total - 1.0) > ATOL_PROB_SUM:
+    if not (abs(total - 1.0) <= ATOL_PROB_SUM).all():
         raise InvariantViolation(f"outcome probabilities sum to {total!r}")
     return weights
 
@@ -396,4 +408,4 @@ def outcome_distribution(state: State, op: Observable) -> list[tuple[float, floa
     """Measurement distribution of ``op`` in ``state``, one entry per spectral group."""
     require_same_layout(state, op)
     weights = outcome_weights(state, [entry.projector for entry in op.spectrum])
-    return list(zip(op.eigenvalues, weights))
+    return list(zip(op.eigenvalues, weights.tolist()))

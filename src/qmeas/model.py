@@ -180,15 +180,18 @@ def decohere(
     return StateVector(target, result.reshape(-1))
 
 
-def interference_matrix(c1: complex, n_factors: int) -> np.ndarray:
-    """Matrix of ``interference_operator`` over ``n_factors`` qubits; rejects |c1| != 1."""
-    c1 = complex(c1)
-    if abs(abs(c1) - 1.0) > ATOL_PARAMETER:
+def interference_matrix(c1, n_factors: int) -> np.ndarray:
+    """Matrix of ``interference_operator`` over ``n_factors`` qubits; rejects |c1| != 1.
+
+    An array of phase factors ``c1`` gives a stack of matrices.
+    """
+    c1 = np.asarray(c1, dtype=np.complex128)
+    if not (abs(abs(c1) - 1.0) <= ATOL_PARAMETER).all():  # NaN fails too
         raise ValueError("|c1| must equal 1")
     dim = 2**n_factors
-    matrix = np.zeros((dim, dim), dtype=np.complex128)
-    matrix[0, dim - 1] = c1
-    matrix[dim - 1, 0] = c1.conjugate()
+    matrix = np.zeros(c1.shape + (dim, dim), dtype=np.complex128)
+    matrix[..., 0, dim - 1] = c1
+    matrix[..., dim - 1, 0] = c1.conj()
     return matrix
 
 
@@ -245,10 +248,10 @@ def zoo(
     d = tuple(float(x) for x in direction)
     if len(d) != 3:
         raise ValueError("direction needs exactly three coefficients")
-    if abs(d[0] ** 2 + d[1] ** 2 + d[2] ** 2 - 1.0) > ATOL_PARAMETER:
+    if not abs(d[0] ** 2 + d[1] ** 2 + d[2] ** 2 - 1.0) <= ATOL_PARAMETER:  # NaN fails too
         raise ValueError("direction coefficients must satisfy sum d_i^2 = 1")
     c1 = complex(c1)
-    if abs(abs(c1) - 1.0) > ATOL_PARAMETER:
+    if not abs(abs(c1) - 1.0) <= ATOL_PARAMETER:
         raise ValueError("|c1| must equal 1")
 
     labels = set(layout.labels)
@@ -288,9 +291,10 @@ def zoo(
     return ObservableZoo(members=MappingProxyType(members))
 
 
-def conjugate_spin_matrix(gamma: float) -> np.ndarray:
-    """Spin component conjugate to S_z at quantum phase ``gamma``."""
-    return (math.cos(gamma) * PAULI_X + math.sin(gamma) * PAULI_Y) / 2.0
+def conjugate_spin_matrix(gamma) -> np.ndarray:
+    """Spin component conjugate to S_z at quantum phase ``gamma``; a stack for an array."""
+    gamma = np.asarray(gamma, dtype=float)[..., None, None]
+    return (np.cos(gamma) * PAULI_X + np.sin(gamma) * PAULI_Y) / 2.0
 
 
 def measurement_chain_state(

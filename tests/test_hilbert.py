@@ -333,6 +333,18 @@ def test_expectation_layout_mismatch_raises():
         expectation(basis_state(S, [0]), Observable(SD, np.eye(4)))
 
 
+def test_born_rejects_an_imaginary_expectation_in_a_stack():
+    from qmeas.hilbert import born
+
+    # |0><1| is not Hermitian: <psi|G|psi> = i/2 for psi = (1, i)/sqrt(2)
+    stack = np.stack([X / 2, np.array([[0, 1], [0, 0]], dtype=complex)])
+    psi = ket(S, np.array([1, 1j]) / np.sqrt(2))
+    with pytest.raises(InvariantViolation, match="imaginary part"):
+        born(stack, psi)
+    with pytest.raises(InvariantViolation, match="imaginary part"):
+        born(stack, psi.density())
+
+
 # -------------------------------------------------------------- is_eigenstate
 
 def test_is_eigenstate_basis_vector():
@@ -439,3 +451,37 @@ def test_density_matrix_rejects_wrong_trace():
 
     with pytest.raises(InvariantViolation, match="trace"):
         DensityMatrix(S, np.diag([0.7, 0.7]).astype(complex))
+
+
+# ------------------------------------------------------------ NaN at the gates
+
+def _nan_inputs():
+    from qmeas.discrimination import forcing_check, nogo_search
+    from qmeas.ensembles import Gemenge
+    from qmeas.hilbert import DensityMatrix, checked_hermitian
+    from qmeas.model import branch_state, interference_matrix, measurement_chain_state, zoo
+
+    nan = float("nan")
+    psi = measurement_chain_state(0.6, 0.8)
+    chain = (psi, branch_state(1, psi.layout), branch_state(2, psi.layout))
+    return {
+        "state_vector": lambda: StateVector(S, [nan, 0]),
+        "density_matrix": lambda: DensityMatrix(S, np.full((2, 2), nan)),
+        "observable": lambda: Observable(S, [[nan, 0], [0, 1]]),
+        "checked_hermitian": lambda: checked_hermitian(np.array([[nan, 0], [0, 1]])),
+        "gemenge": lambda: Gemenge(((ket(S, [1, 0]), nan),)),
+        "interference_matrix": lambda: interference_matrix(nan, 3),
+        "zoo_direction": lambda: zoo(SDO, direction=(nan, 0, 0)),
+        "zoo_c1": lambda: zoo(SDO, c1=nan),
+        "is_eigenstate_tol": lambda: is_eigenstate(Observable(S, Z), ket(S, [1, 0]), tol=nan),
+        "forcing_check_tol": lambda: forcing_check(chain, tol=nan),
+        "nogo_search_tol": lambda: nogo_search("O", chain, 10_000, tol=nan),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_nan_inputs()))
+def test_gates_reject_nan(name):
+    # a gate written `deviation > tol` lets NaN through, since every NaN
+    # comparison is false; each gate is written `not deviation <= tol`
+    with pytest.raises(ValueError):  # InvariantViolation is a ValueError
+        _nan_inputs()[name]()

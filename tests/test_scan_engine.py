@@ -1,11 +1,8 @@
-"""The batched phase and direction scans against the per-point loops in ``_oracle``.
+"""The phase and direction scans against the per-point loops in ``_oracle``.
 
-The scans rank grid points with a batched objective, re-score the points
-within ``SCAN_TIE_WINDOW`` of the batched extremum with the scalar
-objective and refine with the scalar objective, so every reported phase
-and refined value must equal the oracle's exactly.  Only the minimum of
-the direction sweep comes straight from the batched kernel; it may differ
-from the per-direction loop by 1e-13.
+The scans score grid points and refinement steps with the exact stacked
+kernels, so every reported phase and value, the minimum of the direction
+sweep included, must equal the oracle's exactly.
 """
 
 import math
@@ -17,7 +14,6 @@ import _oracle
 from _helpers import random_density, random_hermitian, random_pure
 from qmeas.discrimination import (
     MIN_PHASE_GRID,
-    SCAN_TIE_WINDOW,
     _overlaps,
     _scan_extremum,
     channel_information,
@@ -34,11 +30,6 @@ from qmeas.hilbert import (
     partial_trace,
 )
 from qmeas.model import PAULI_Z, decohere, interference_operator, prepare_system
-
-# |batched - scalar| <= KERNEL_TOL at every grid point keeps the scalar
-# extremum inside the re-scored window, which needs 2 KERNEL_TOL < window
-KERNEL_TOL = SCAN_TIE_WINDOW / 10.0
-POST_CHANNEL_TOL = 1e-13
 
 AMPLITUDES = {
     "real": (0.6, 0.8),
@@ -77,10 +68,7 @@ def test_interference_phase_scan_equals_oracle(name, scope):
 @pytest.mark.parametrize("name", sorted(AMPLITUDES))
 def test_channel_information_equals_oracle(name):
     a = _normalized(AMPLITUDES[name])
-    got = channel_information(a)
-    want = _oracle.channel_information(a)
-    assert abs(got.post_channel_k_min - want.post_channel_k_min) <= POST_CHANNEL_TOL
-    assert got == want._replace(post_channel_k_min=got.post_channel_k_min)
+    assert channel_information(a) == _oracle.channel_information(a)
 
 
 def test_grid_tie_at_zero_and_pi_picks_zero():
@@ -99,28 +87,27 @@ def test_grid_tie_at_zero_and_pi_picks_zero():
     assert (phase, k_min) == _oracle.interference_phase_scan(a, "MS")
 
 
-def test_scan_extremum_breaks_batched_ties_with_the_scalar_objective():
-    # the batched values favour the tie partner at pi by 1e-15; the scalar
-    # values tie exactly, so the first grid point wins and only the two
-    # tied points are re-scored before the 80-step refinement
-    calls = []
+def test_scan_extremum_finds_a_second_half_value_below_its_mirrored_copy():
+    # the objective at pi lies 1e-15 below its copy from 0; both points fall in
+    # the near set, which is scored again at its own phases, so the scan
+    # refines around pi, as a point-by-point scan does
+    seen = []
 
-    def scalar(p):
-        calls.append(p)
-        return -abs(math.cos(p))
-
-    def batched(phases):
+    def objective(phases):
+        seen.append(phases.copy())
         return -np.abs(np.cos(phases)) - 1e-15 * (phases > 3.0)
 
-    phase, value = _scan_extremum(batched, scalar, MIN_PHASE_GRID, minimize=True)
-    assert len(calls) == 2 + 2 * 80 + 1
-    assert abs(phase) < 2.0 * math.pi / MIN_PHASE_GRID
-    assert value == -abs(math.cos(phase))
+    phase, value = _scan_extremum(objective, MIN_PHASE_GRID, minimize=True)
+    assert np.array_equal(seen[1], [0.0, math.pi])
+    assert abs(phase - math.pi) < 2.0 * math.pi / MIN_PHASE_GRID
+    assert value == objective(np.array([phase]))[0]
 
 
 def test_scan_extremum_rejects_small_grid():
     with pytest.raises(ValueError, match="at least"):
-        _scan_extremum(np.cos, math.cos, 100, minimize=True)
+        _scan_extremum(np.cos, 100, minimize=True)
+    with pytest.raises(ValueError, match="even"):
+        _scan_extremum(np.cos, MIN_PHASE_GRID + 1, minimize=True)
 
 
 # ------------------------------------------------------------ overlap kernel
@@ -146,7 +133,7 @@ def test_overlap_kernel_matches_overlap_on_random_stacks(n_factors):
     for state1, state2 in _state_pairs(rng, layout):
         got = _overlaps(matrices, state1, state2)
         want = _scalar_overlaps(layout, matrices, state1, state2)
-        assert np.max(np.abs(got - want)) <= KERNEL_TOL
+        assert np.array_equal(got, want)
 
 
 def test_overlap_kernel_matches_overlap_on_degenerate_spectra():
@@ -167,7 +154,7 @@ def test_overlap_kernel_matches_overlap_on_degenerate_spectra():
         for state1, state2 in _state_pairs(rng, layout):
             got = _overlaps(matrices, state1, state2)
             want = _scalar_overlaps(layout, matrices, state1, state2)
-            assert np.max(np.abs(got - want)) <= KERNEL_TOL
+            assert np.array_equal(got, want)
 
 
 def test_overlap_kernel_on_chain_pure_state_and_branch_mixture():
@@ -178,7 +165,7 @@ def test_overlap_kernel_on_chain_pure_state_and_branch_mixture():
                          for p in phases])
     got = _overlaps(matrices, pure, mixture)
     want = _scalar_overlaps(pure.layout, matrices, pure, mixture)
-    assert np.max(np.abs(got - want)) <= KERNEL_TOL
+    assert np.array_equal(got, want)
 
 
 def test_overlap_kernel_rejects_non_hermitian_stack():
