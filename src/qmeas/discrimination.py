@@ -99,8 +99,20 @@ def overlap(obs: Observable, state1: State, state2: State) -> OverlapReport:
     rows = tuple(
         (eigenvalue, w1, w2) for (eigenvalue, w1), (_, w2) in zip(dist1, dist2)
     )
-    k = float(sum(min(w1, w2) for _, w1, w2 in rows))
+    k = float(_left_to_right(min(w1, w2) for _, w1, w2 in rows))
     return OverlapReport(obs.name or "G", k, rows)
+
+
+def _left_to_right(terms):
+    """terms[0] + terms[1] + ..., in order, on every Python version.
+
+    Builtin ``sum`` compensates the roundoff of exact floats from Python
+    3.12 on, so K would depend on the interpreter.
+    """
+    total = 0.0
+    for term in terms:
+        total = total + term
+    return total
 
 
 def _overlaps(matrices: np.ndarray, state1: State, state2: State) -> np.ndarray:
@@ -109,20 +121,21 @@ def _overlaps(matrices: np.ndarray, state1: State, state2: State) -> np.ndarray:
     Row n equals ``overlap(Observable(layout, matrices[n]), state1,
     state2).k_value``: the same gate, ``eigh``, grouping, projectors and
     checked Born weights, stacked over the rows that share one group
-    structure, and the same left-to-right sum over the groups.
+    structure (the first remaining row's, until none remain), and the same
+    left-to-right sum over the groups.
     """
     require_same_layout(state1, state2)
     values, vectors = np.linalg.eigh(checked_hermitian(matrices))
     joined = eigen_groups(values)
-    if (joined == joined[0]).all():  # every scanned family has one group structure
-        structures = [(joined[0], slice(None))]
-    else:
-        structures = [(p, (joined == p).all(axis=1)) for p in np.unique(joined, axis=0)]
     k = np.empty(len(values))
-    for pattern, rows in structures:
+    rest = np.arange(len(values))
+    while len(rest):
+        same = (joined[rest] == joined[rest[0]]).all(axis=1)
+        rows, rest = rest[same], rest[~same]
+        pattern = joined[rows[0]]
         projectors = np.array([p for _, _, p in spectral_projectors(vectors[rows], pattern)])
         w1, w2 = (outcome_weights(state, projectors) for state in (state1, state2))
-        k[rows] = sum(np.minimum(w1, w2))
+        k[rows] = _left_to_right(np.minimum(w1, w2))
     return k
 
 
@@ -152,20 +165,13 @@ class PhaseScanResult(NamedTuple):
 SCAN_TIE_WINDOW = 1e-12  # mirrored grid values this close to the extremum are re-scored
 
 
-def _batched(objective: Callable[[np.ndarray], np.ndarray], dim: int):
-    """``objective`` over an array of phases in batches of ``_CHUNK * 64 // dim**2``."""
-    rows = _CHUNK * 64 // dim**2
-    return lambda phases: np.concatenate(
-        [objective(phases[start:start + size]) for start, size in _chunks(len(phases), rows)]
-    )
-
-
 def _scan_extremum(
-    objective: Callable[[np.ndarray], np.ndarray], n_grid: int, minimize: bool
+    objective: Callable[[np.ndarray], np.ndarray], n_grid: int, minimize: bool, dim: int
 ) -> tuple[float, float]:
     """Phase in [0, 2 pi) extremizing ``objective``: grid scan plus refinement.
 
-    ``objective(phases)`` returns the exact value at each phase of an array.
+    ``objective(phases)`` returns the exact value at each phase of an array
+    of dim x dim matrices; it is called on ``_batch_rows(dim)`` phases at most.
     Every scanned family is linear in (cos p, sin p), so G(p + pi) = -G(p),
     and K and 2|<S_a>| are invariant under G -> -G: the objective runs on
     the first half of the (even) grid only and its values are copied onto
@@ -181,18 +187,24 @@ def _scan_extremum(
         raise ValueError(f"phase grid needs at least {MIN_PHASE_GRID} points")
     if n_grid % 2:
         raise ValueError(f"phase grid needs an even number of points, got {n_grid}")
-    grid = np.linspace(0.0, 2.0 * math.pi, n_grid, endpoint=False)
+    rows = _batch_rows(dim)
     sign = 1.0 if minimize else -1.0
-    half = sign * objective(grid[: n_grid // 2])
+
+    def score(phases: np.ndarray) -> np.ndarray:
+        batches = _chunks(len(phases), rows)
+        return sign * np.concatenate([objective(phases[i:i + size]) for i, size in batches])
+
+    grid = np.linspace(0.0, 2.0 * math.pi, n_grid, endpoint=False)
+    half = score(grid[: n_grid // 2])
     values = np.concatenate([half, half])
     near = np.flatnonzero(values <= values.min() + SCAN_TIE_WINDOW)
-    best = grid[near[int(np.argmin(sign * objective(grid[near])))]]
+    best = grid[near[int(np.argmin(score(grid[near])))]]
     step = 2.0 * math.pi / n_grid
     lo, hi = best - step, best + step
     for _ in range(80):
         third = (hi - lo) / 3.0
         m1, m2 = lo + third, hi - third
-        f1, f2 = sign * objective(np.array([m1, m2]))
+        f1, f2 = score(np.array([m1, m2]))
         lo, hi = (lo, m2) if f1 < f2 else (m1, hi)
     x = 0.5 * (lo + hi)
     return x, float(objective(np.array([x]))[0])
@@ -208,9 +220,10 @@ def optimal_phase(rho_s: State, n_grid: int = MIN_PHASE_GRID) -> PhaseScanResult
     """
     _single_qubit(rho_s)
     gamma, purity = _scan_extremum(
-        _batched(lambda gammas: 2.0 * np.abs(_spin_expectations(rho_s, gammas)), 2),
+        lambda gammas: 2.0 * np.abs(_spin_expectations(rho_s, gammas)),
         n_grid,
         minimize=False,
+        dim=2,
     )
     if purity <= INDETERMINATE_PURITY:
         return PhaseScanResult(gamma=None, purity=purity)
@@ -296,8 +309,7 @@ _POINTER_BASIS = np.stack([PAULI_Z, PAULI_X, PAULI_Y])
 _POINTER_FAMILY = "{} pointer algebra on the coefficient sphere ({} grid + {} random points)"
 # rows per batch; 256 is faster but lifts `nogo` peak RSS 6% (1024: 18%).
 # O and D batches take _CHUNK * dim // 3 directions, so their (rows, 3, dim)
-# products hold as many entries as (_CHUNK, dim, dim) matrices; the direction
-# sweep's dim x dim batches hold those of a 64-row MS batch at dim 8
+# products hold as many entries as (_CHUNK, dim, dim) matrices
 _CHUNK = 64
 
 
@@ -305,6 +317,11 @@ def _chunks(n: int, size: int = _CHUNK):
     """(start, size) of the consecutive batches that cover ``range(n)``."""
     for start in range(0, n, size):
         yield start, min(size, n - start)
+
+
+def _batch_rows(dim: int) -> int:
+    """Rows of a batch of dim x dim matrices in the scans: the entries of a 64-row MS batch."""
+    return _CHUNK * 64 // dim**2
 
 
 def _hermitians(parts: np.ndarray) -> np.ndarray:
@@ -539,9 +556,7 @@ def interference_phase_scan(
     def k_values(phases: np.ndarray) -> np.ndarray:
         return _overlaps(interference_matrix(np.exp(1j * phases), n_factors), pure, mixture)
 
-    phase, k_min = _scan_extremum(
-        _batched(k_values, pure.layout.total_dim), n_grid, minimize=True
-    )
+    phase, k_min = _scan_extremum(k_values, n_grid, minimize=True, dim=pure.layout.total_dim)
     return float(phase % (2.0 * math.pi)), float(k_min)
 
 
@@ -579,16 +594,17 @@ def channel_information(
 
     pure, mixture = matched_pair(a, "S")
     gamma, pre_k = _scan_extremum(
-        _batched(lambda gammas: _overlaps(conjugate_spin_matrix(gammas), pure, mixture), 2),
+        lambda gammas: _overlaps(conjugate_spin_matrix(gammas), pure, mixture),
         n_gamma,
         minimize=True,
+        dim=2,
     )
 
     pure_sd, mixed_sd = matched_pair(a, "SD")
     pure_d = partial_trace(pure_sd, [DETECTOR])
     mixed_d = partial_trace(mixed_sd, [DETECTOR])
     post_k = 1.0
-    for start, size in _chunks(n_directions, _CHUNK * 64 // pure_d.layout.total_dim**2):
+    for start, size in _chunks(n_directions, _batch_rows(pure_d.layout.total_dim)):
         # d0 P_z + d1 P_x + d2 P_y for each direction (d0, d1, d2)
         directions = _sphere_rows(n_directions, start, size)
         matrices = np.einsum("nk,kab->nab", directions, _POINTER_BASIS)

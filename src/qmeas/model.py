@@ -292,9 +292,16 @@ def zoo(
 
 
 def conjugate_spin_matrix(gamma) -> np.ndarray:
-    """Spin component conjugate to S_z at quantum phase ``gamma``; a stack for an array."""
-    gamma = np.asarray(gamma, dtype=float)[..., None, None]
-    return (np.cos(gamma) * PAULI_X + np.sin(gamma) * PAULI_Y) / 2.0
+    """Spin component conjugate to S_z at quantum phase ``gamma``; a stack for an array.
+
+    cos and sin come from ``math`` point by point: numpy may pick a SIMD
+    kernel whose last bit differs, and the refined scan phases depend on it.
+    """
+    gammas = np.asarray(gamma, dtype=float)
+    flat = gammas.ravel().tolist()
+    cos, sin = (np.fromiter(map(f, flat), float, len(flat)).reshape(gammas.shape + (1, 1))
+                for f in (math.cos, math.sin))
+    return (cos * PAULI_X + sin * PAULI_Y) / 2.0
 
 
 def measurement_chain_state(

@@ -6,9 +6,13 @@ candidate, embedded into the full layout and tested with the scalar
 ``qmeas.discrimination`` must reproduce draw for draw.
 
 The phase scans (``optimal_phase``, ``interference_phase_scan``,
-``channel_information``) evaluate the scalar ``purity_rate`` or ``overlap``
+``channel_information``) evaluate the scalar ``purity_rate`` or ``k_value``
 at every grid point and every sphere direction, then refine around the
-first grid extremum: the loops the batched scans must reproduce.
+first grid extremum: the loops the batched scans must reproduce.  These
+scalar forms are written out here (``math.cos``/``math.sin``, one
+``eigh`` and the grouping rule one eigenvalue at a time, ``np.vdot`` or
+``np.trace`` weights, a left-to-right sum), so they share no code with the
+stacked kernels they check.
 
 ``run_ensemble`` draws the uniforms of all events as one array from the
 ``stream_keys`` below and maps them to members with ``searchsorted``: the
@@ -35,8 +39,6 @@ from qmeas.discrimination import (
     ForcingCheck,
     PhaseScanResult,
     fibonacci_sphere,
-    overlap,
-    purity_rate,
 )
 from qmeas.ensembles import (
     FrequencyReport,
@@ -46,10 +48,11 @@ from qmeas.ensembles import (
 )
 from qmeas.hilbert import (
     DEFAULT_EIGENSTATE_TOL,
+    EIG_GROUP_RTOL,
     Observable,
     SpaceLayout,
+    StateVector,
     embed_operator,
-    expectation,
     is_eigenstate,
     partial_trace,
 )
@@ -60,12 +63,42 @@ from qmeas.model import (
     PAULI_Y,
     PAULI_Z,
     branch_state,
-    conjugate_spin_matrix,
     interference_operator,
     measurement_chain_state,
     prepare_system,
     zoo,
 )
+
+
+def conjugate_spin_matrix(gamma):
+    return (math.cos(gamma) * PAULI_X + math.sin(gamma) * PAULI_Y) / 2.0
+
+
+def _born(state, matrix):
+    if isinstance(state, StateVector):
+        return float(np.vdot(state.amplitudes, matrix @ state.amplitudes).real)
+    return float(np.trace(matrix @ state.matrix).real)
+
+
+def purity_rate(rho_s, gamma):
+    op = Observable(rho_s.layout, conjugate_spin_matrix(gamma), name="S_a")
+    return 2.0 * abs(_born(rho_s, op.matrix))
+
+
+def k_value(op, state1, state2):
+    values, vectors = np.linalg.eigh(op.matrix)
+    listed = values.tolist()
+    k = 0.0
+    start = 0
+    for stop in range(1, len(listed) + 1):
+        last = listed[stop - 1]
+        if stop < len(listed) and listed[stop] - last <= EIG_GROUP_RTOL * max(1.0, abs(last)):
+            continue
+        block = vectors[:, start:stop]
+        projector = block @ block.conj().T
+        k = k + min(max(_born(state1, projector), 0.0), max(_born(state2, projector), 0.0))
+        start = stop
+    return k
 
 
 def _pointer_algebra_matrix(direction):
@@ -228,7 +261,7 @@ def optimal_phase(rho_s, n_grid=MIN_PHASE_GRID):
     if purity <= INDETERMINATE_PURITY:
         return PhaseScanResult(gamma=None, purity=purity)
     op = Observable(rho_s.layout, conjugate_spin_matrix(gamma), name="S_a")
-    if expectation(rho_s, op) < 0.0:
+    if _born(rho_s, op.matrix) < 0.0:
         gamma -= math.pi
     return PhaseScanResult(gamma=float(gamma % (2.0 * math.pi)), purity=purity)
 
@@ -256,7 +289,7 @@ def interference_phase_scan(a, scope="MS", n_grid=MIN_PHASE_GRID):
 
     def k_of(phase):
         op = interference_operator(pure.layout, np.exp(1j * phase), factors=factors)
-        return overlap(op, pure, mixture).k_value
+        return k_value(op, pure, mixture)
 
     grid = np.linspace(0.0, 2.0 * math.pi, n_grid, endpoint=False)
     values = [k_of(p) for p in grid]
@@ -278,7 +311,7 @@ def channel_information(a, n_gamma=MIN_PHASE_GRID, n_directions=MIN_DIRECTIONS):
     sz = Observable(system_layout, PAULI_Z / 2.0, name="S_z")
     up = prepare_system(1, 0)
     down = prepare_system(0, 1)
-    k_sz = overlap(sz, up, down).k_value
+    k_sz = k_value(sz, up, down)
 
     pure = prepare_system(a1, a2)
     mixture = mixture_density(
@@ -287,7 +320,7 @@ def channel_information(a, n_gamma=MIN_PHASE_GRID, n_directions=MIN_DIRECTIONS):
 
     def k_of_gamma(gamma):
         op = Observable(system_layout, conjugate_spin_matrix(gamma), name="S_a")
-        return overlap(op, pure, mixture).k_value
+        return k_value(op, pure, mixture)
 
     grid = np.linspace(0.0, 2.0 * math.pi, n_gamma, endpoint=False)
     values = [k_of_gamma(g) for g in grid]
@@ -304,7 +337,7 @@ def channel_information(a, n_gamma=MIN_PHASE_GRID, n_directions=MIN_DIRECTIONS):
     post_k = 1.0
     for row in fibonacci_sphere(n_directions):
         op = Observable(detector_layout, _pointer_algebra_matrix(row), name="Q(n)")
-        post_k = min(post_k, overlap(op, pure_d, mixed_d).k_value)
+        post_k = min(post_k, k_value(op, pure_d, mixed_d))
 
     return ChannelInformationReport(
         k_sz_eigenstates=k_sz,

@@ -14,6 +14,7 @@ import _oracle
 from _helpers import random_density, random_hermitian, random_pure
 from qmeas.discrimination import (
     MIN_PHASE_GRID,
+    _batch_rows,
     _overlaps,
     _scan_extremum,
     channel_information,
@@ -97,17 +98,18 @@ def test_scan_extremum_finds_a_second_half_value_below_its_mirrored_copy():
         seen.append(phases.copy())
         return -np.abs(np.cos(phases)) - 1e-15 * (phases > 3.0)
 
-    phase, value = _scan_extremum(objective, MIN_PHASE_GRID, minimize=True)
-    assert np.array_equal(seen[1], [0.0, math.pi])
+    phase, value = _scan_extremum(objective, MIN_PHASE_GRID, minimize=True, dim=2)
+    half_batches = -(-(MIN_PHASE_GRID // 2) // _batch_rows(2))
+    assert np.array_equal(seen[half_batches], [0.0, math.pi])
     assert abs(phase - math.pi) < 2.0 * math.pi / MIN_PHASE_GRID
     assert value == objective(np.array([phase]))[0]
 
 
 def test_scan_extremum_rejects_small_grid():
     with pytest.raises(ValueError, match="at least"):
-        _scan_extremum(np.cos, 100, minimize=True)
+        _scan_extremum(np.cos, 100, minimize=True, dim=2)
     with pytest.raises(ValueError, match="even"):
-        _scan_extremum(np.cos, MIN_PHASE_GRID + 1, minimize=True)
+        _scan_extremum(np.cos, MIN_PHASE_GRID + 1, minimize=True, dim=2)
 
 
 # ------------------------------------------------------------ overlap kernel

@@ -23,6 +23,7 @@ from qmeas.discrimination import (
     _POINTER_BASIS,
     MIN_DIRECTIONS,
     MIN_PHASE_GRID,
+    _batch_rows,
     _overlaps,
     _scan_extremum,
     channel_information,
@@ -40,7 +41,7 @@ from qmeas.hilbert import (
     born,
     partial_trace,
 )
-from qmeas.model import PAULI_Z, interference_matrix, prepare_system
+from qmeas.model import PAULI_Z, conjugate_spin_matrix, interference_matrix, prepare_system
 
 GRID = np.linspace(0.0, 2.0 * math.pi, MIN_PHASE_GRID, endpoint=False)
 # seeded random complex amplitude pairs beyond the fixed ones of test_scan_engine
@@ -54,6 +55,8 @@ def _assert_kernel_exact(layout, matrices, pairs):
     for state1, state2 in pairs:
         got = _overlaps(stack, state1, state2).tolist()
         assert got == [overlap(Observable(layout, m), state1, state2).k_value for m in stack]
+        # the scalar loop of _oracle shares no code with the stacked kernel
+        assert got == [_oracle.k_value(Observable(layout, m), state1, state2) for m in stack]
 
 
 def _state_pairs(rng, layout, matrix):
@@ -108,6 +111,39 @@ def test_overlaps_rows_equal_overlap_on_a_stack_mixing_identity_and_random_rows(
         _assert_kernel_exact(sdo, matrices, _state_pairs(rng, sdo, matrices[1]))
 
 
+def test_k_is_the_left_to_right_group_sum_on_every_python():
+    # builtin sum compensates float roundoff from Python 3.12 on; K must not
+    # depend on the interpreter, so it is the plain left-to-right sum, and
+    # here a correctly rounded sum differs from it
+    rng = np.random.default_rng(29)
+    sdo = SpaceLayout.of("S", "D", "O")
+    differs = 0
+    for _ in range(40):
+        op = Observable(sdo, random_hermitian(rng, 8))
+        pure = StateVector(sdo, random_pure(rng, 8))
+        mixed = DensityMatrix(sdo, random_density(rng, 8))
+        terms = [min(w1, w2) for _, w1, w2 in overlap(op, pure, mixed).weights]
+        plain = 0.0
+        for term in terms:
+            plain += term
+        assert overlap(op, pure, mixed).k_value == plain
+        assert _overlaps(op.matrix[None], pure, mixed)[0] == plain
+        differs += math.fsum(terms) != plain
+    assert differs > 0
+
+
+def test_conjugate_spin_stack_equals_the_libm_form_bit_for_bit():
+    # numpy's array cos/sin may run a SIMD kernel that differs from libm in the
+    # last bit; the stacked matrices of the scans must be the per-point ones
+    step = GRID[1]
+    for phases in (GRID, *(np.array([g - step / 3.0, g + step / 3.0]) for g in GRID)):
+        stack = conjugate_spin_matrix(phases)
+        for matrix, phase in zip(stack, phases):
+            assert matrix.tobytes() == _oracle.conjugate_spin_matrix(phase).tobytes()
+    assert conjugate_spin_matrix(GRID[7]).tobytes() == _oracle.conjugate_spin_matrix(
+        GRID[7]).tobytes()
+
+
 @pytest.mark.parametrize("n_factors", [1, 2, 3])
 def test_born_form_equals_vdot_and_trace_bit_for_bit(n_factors):
     # the one Born form of hilbert, stacked, against the per-matrix forms;
@@ -132,20 +168,24 @@ def test_overlaps_rows_equal_overlap_on_the_chain_pair(scope):
 
 # ------------------------------------------------------------ mirrored half grid
 
+@pytest.mark.parametrize("dim", [2, 8])
 @pytest.mark.parametrize("n_grid", [MIN_PHASE_GRID, 4000, 4098])
-def test_scan_extremum_evaluates_the_first_half_then_the_near_set(n_grid):
+def test_scan_extremum_evaluates_the_first_half_then_the_near_set(n_grid, dim):
     seen = []
 
     def objective(phases):
         seen.append(phases.copy())
         return np.cos(2.0 * phases)
 
-    _scan_extremum(objective, n_grid, minimize=True)
+    _scan_extremum(objective, n_grid, minimize=True, dim=dim)
     grid = np.linspace(0.0, 2.0 * math.pi, n_grid, endpoint=False)
-    assert np.array_equal(seen[0], grid[: n_grid // 2])
-    assert set(seen[1]) <= set(grid)
+    rows = _batch_rows(dim)
+    half_batches = -(-(n_grid // 2) // rows)
+    assert np.array_equal(np.concatenate(seen[:half_batches]), grid[: n_grid // 2])
+    assert max(len(phases) for phases in seen) <= rows
+    assert set(seen[half_batches]) <= set(grid)
     # the refinement scores its pair of inner points in one call, then the midpoint
-    assert [len(phases) for phases in seen[2:]] == [2] * 80 + [1]
+    assert [len(phases) for phases in seen[half_batches + 1:]] == [2] * 80 + [1]
 
 
 def test_scan_extremum_picks_p_on_exact_ties_at_p_and_p_plus_pi():
@@ -159,8 +199,8 @@ def test_scan_extremum_picks_p_on_exact_ties_at_p_and_p_plus_pi():
         seen.append(phases.copy())
         return np.min((phases[:, None] - ties[None, :]) ** 2, axis=1)
 
-    phase, value = _scan_extremum(objective, n, minimize=True)
-    assert np.array_equal(seen[1], ties)
+    phase, value = _scan_extremum(objective, n, minimize=True, dim=2)
+    assert np.array_equal(seen[-(-(n // 2) // _batch_rows(2))], ties)
     assert abs(phase) < 2.0 * math.pi / n
     assert value == objective(np.array([phase]))[0]
 
