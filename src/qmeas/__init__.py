@@ -8,6 +8,8 @@ observable families for an operator that could tell the entangled state
 from its branches (none exists while both amplitudes are nonzero).
 """
 
+from types import ModuleType as _ModuleType
+
 from .hilbert import (
     DensityMatrix,
     InvariantViolation,
@@ -24,7 +26,6 @@ from .hilbert import (
     tensor_state,
 )
 from .model import (
-    ObservableZoo,
     branch_state,
     decohere,
     interference_operator,
@@ -48,7 +49,6 @@ from .discrimination import (
     DiscriminationVerdict,
     ForcingCheck,
     InterferenceReport,
-    OverlapReport,
     PhaseScanResult,
     channel_information,
     interference_analysis,
@@ -62,48 +62,8 @@ from .discrimination import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChannelInformationReport",
-    "DensityMatrix",
-    "DiscriminationVerdict",
-    "ForcingCheck",
-    "FrequencyReport",
-    "Gemenge",
-    "InterferenceReport",
-    "InvariantViolation",
-    "Observable",
-    "ObservableZoo",
-    "OverlapReport",
-    "PhaseScanResult",
-    "SpaceLayout",
-    "SpectralEntry",
-    "StateVector",
-    "basis_state",
-    "branch_state",
-    "channel_information",
-    "decohere",
-    "embed_operator",
-    "expectation",
-    "interference_analysis",
-    "interference_operator",
-    "interference_phase_scan",
-    "is_eigenstate",
-    "matched_pair",
-    "measurement_chain_state",
-    "mixture_density",
-    "ms_layout",
-    "nogo_search",
-    "optimal_phase",
-    "outcome_distribution",
-    "overlap",
-    "partial_trace",
-    "pointer_ready",
-    "premeasure",
-    "prepare_system",
-    "purity_rate",
-    "restrict_statistical",
-    "restrict_stochastic",
-    "run_ensemble",
-    "tensor_state",
-    "zoo",
-]
+# every public name bound above, submodules aside
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -87,10 +87,6 @@ class ExperimentConfig(NamedTuple):
     def a2(self) -> complex:
         return complex(self.a2_re, self.a2_im)
 
-    @property
-    def c1(self) -> complex:
-        return complex(np.exp(1j * self.c_phase))
-
 
 def _typed(key: str, value):
     """``value`` checked against the type of ``key``'s default, str where that
@@ -133,7 +129,7 @@ def _load_config_file(path: str) -> dict:
             raw = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
-    except ValueError as exc:  # also an integer literal past the interpreter's digit limit
+    except (ValueError, RecursionError) as exc:  # also too many digits, or deep nesting
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path!r} must hold a flat JSON object")
@@ -295,10 +291,10 @@ def _overlaps_section(config: ExperimentConfig, warn, channel) -> dict:
     k = _channel_section(config, warn, channel)  # the K metrics both sections report
     return {
         "system_side": {
-            "K_S_x": metric(overlap(system_zoo["S_x"], pure, mixed).k_value),
-            "K_S_y": metric(overlap(system_zoo["S_y"], pure, mixed).k_value),
+            "K_S_x": metric(overlap(system_zoo["S_x"], pure, mixed)),
+            "K_S_y": metric(overlap(system_zoo["S_y"], pure, mixed)),
             "K_S_a_at_gamma": metric(
-                overlap(system_zoo["S_a"], pure, mixed).k_value
+                overlap(system_zoo["S_a"], pure, mixed)
             ),
             "K_min_over_gamma_sweep": k["pre_channel_K_min"],
             "gamma_at_min": k["pre_channel_gamma"],
@@ -306,7 +302,7 @@ def _overlaps_section(config: ExperimentConfig, warn, channel) -> dict:
         "detector_side": {
             **{
                 f"K_{name}": metric(
-                    overlap(detector_zoo[name], chain_pure, chain_mixed).k_value,
+                    overlap(detector_zoo[name], chain_pure, chain_mixed),
                     target=1.0,
                     tolerance=1e-9,
                 )
@@ -339,7 +335,7 @@ def _interference_section(config: ExperimentConfig, *_) -> dict:
     target_min = 1.0 - abs(config.a1) * abs(config.a2)
     sections = {}
     for scope in ("MS", "SD"):
-        report = interference_analysis(config.c1, a, scope=scope)
+        report = interference_analysis(np.exp(1j * config.c_phase), a, scope=scope)
         phase, k_min = interference_phase_scan(a, scope=scope)
         sections[scope] = {
             "c_phase": config.c_phase,

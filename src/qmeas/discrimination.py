@@ -17,7 +17,7 @@ to coincide, once per state triple.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .hilbert import (
     checked_hermitian,
     eigen_groups,
     expectation,
-    outcome_distribution,
     outcome_weights,
     partial_trace,
     require_same_layout,
@@ -84,23 +83,10 @@ def matched_pair(a: tuple[complex, complex], scope: str) -> tuple[StateVector, D
     return pure, mixture_density(Gemenge(members))
 
 
-class OverlapReport(NamedTuple):
-    """Outcome-distribution intersection of two states under one observable."""
-
-    observable_name: str
-    k_value: float
-    weights: tuple[tuple[float, float, float], ...]  # (eigenvalue, w1, w2)
-
-
-def overlap(obs: Observable, state1: State, state2: State) -> OverlapReport:
+def overlap(obs: Observable, state1: State, state2: State) -> float:
     """K = sum over spectral groups of min(w1, w2); 1 iff the distributions agree."""
-    dist1 = outcome_distribution(state1, obs)
-    dist2 = outcome_distribution(state2, obs)
-    rows = tuple(
-        (eigenvalue, w1, w2) for (eigenvalue, w1), (_, w2) in zip(dist1, dist2)
-    )
-    k = float(_left_to_right(min(w1, w2) for _, w1, w2 in rows))
-    return OverlapReport(obs.name or "G", k, rows)
+    require_same_layout(state1, obs)  # _overlaps checks state2 against state1
+    return float(_overlaps(obs.matrix[None], state1, state2)[0])
 
 
 def _left_to_right(terms):
@@ -116,13 +102,14 @@ def _left_to_right(terms):
 
 
 def _overlaps(matrices: np.ndarray, state1: State, state2: State) -> np.ndarray:
-    """``overlap`` under each matrix of a Hermitian stack, bit for bit.
+    """K under each matrix of a Hermitian stack; the one K kernel, ``overlap`` included.
 
-    Row n equals ``overlap(Observable(layout, matrices[n]), state1,
-    state2).k_value``: the same gate, ``eigh``, grouping, projectors and
-    checked Born weights, stacked over the rows that share one group
-    structure (the first remaining row's, until none remain), and the same
-    left-to-right sum over the groups.
+    Each row runs the Hermiticity gate, ``eigh``, the grouping rule
+    ``eigen_groups``, the group projectors and the checked Born weights of
+    ``outcome_weights``, stacked over the rows that share one group
+    structure (the first remaining row's, until none remain), then a
+    left-to-right sum of min(w1, w2) over the groups.  Row n therefore does
+    not depend on the other rows of the stack.
     """
     require_same_layout(state1, state2)
     values, vectors = np.linalg.eigh(checked_hermitian(matrices))
@@ -232,18 +219,6 @@ def optimal_phase(rho_s: State, n_grid: int = MIN_PHASE_GRID) -> PhaseScanResult
     return PhaseScanResult(gamma=float(gamma % (2.0 * math.pi)), purity=purity)
 
 
-def _stacked_states(target: StateVector, branches: Sequence[StateVector]) -> np.ndarray:
-    """Rows target, branch 1, branch 2; checks one layout and orthonormal branches."""
-    if len(branches) != 2:
-        raise ValueError("exactly two branch states required")
-    b1, b2 = branches
-    if not target.layout == b1.layout == b2.layout:
-        raise ValueError("target and branches must share one layout")
-    if abs(np.vdot(b1.amplitudes, b2.amplitudes)) > ATOL_ORTHONORMAL:
-        raise ValueError("branch states must be orthonormal")
-    return np.stack([target.amplitudes, b1.amplitudes, b2.amplitudes])
-
-
 def _apply(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """products[n, s] = matrices[n] @ vectors[s]."""
     return np.matmul(matrices[:, None], vectors[None, :, :, None])[..., 0]
@@ -290,13 +265,9 @@ class DiscriminationVerdict(NamedTuple):
     out_of_regime: bool = False
 
 
-def fibonacci_sphere(n: int) -> np.ndarray:
-    """n nearly uniform unit vectors on the 2-sphere, deterministic."""
-    return _sphere_rows(n, 0, n)
-
-
 def _sphere_rows(n: int, start: int, size: int) -> np.ndarray:
-    """Rows ``start:start + size`` of ``fibonacci_sphere(n)``; row k depends only on k and n."""
+    """Rows ``start:start + size`` of the n-point Fibonacci sphere: nearly uniform
+    unit vectors, deterministic; row k depends only on k and n."""
     k = np.arange(start, start + size, dtype=float)
     golden = math.pi * (3.0 - math.sqrt(5.0))
     z = 1.0 - 2.0 * (k + 0.5) / n
@@ -426,7 +397,11 @@ def nogo_search(
     if not tol > 0:  # NaN fails too
         raise ValueError("tol must be positive")
     psi, b1, b2 = states
-    vectors = _stacked_states(psi, (b1, b2))
+    if not psi.layout == b1.layout == b2.layout:
+        raise ValueError("target and branches must share one layout")
+    if abs(np.vdot(b1.amplitudes, b2.amplitudes)) > ATOL_ORTHONORMAL:
+        raise ValueError("branch states must be orthonormal")
+    vectors = np.stack([psi.amplitudes, b1.amplitudes, b2.amplitudes])
     a1 = complex(np.vdot(b1.amplitudes, psi.amplitudes))
     a2 = complex(np.vdot(b2.amplitudes, psi.amplitudes))
     if abs(a1 * a2) <= DEGENERATE_AMPLITUDE:
@@ -461,7 +436,7 @@ def nogo_search(
                 products = (directions @ basis).reshape(len(directions), 3, dim)
                 yield products, lambda n, directions=directions: tuple(directions[n])
         else:
-            structured = zoo(psi.layout).members
+            structured = zoo(psi.layout)
             matrices = np.stack([op.matrix for op in structured.values()] + [np.eye(dim)])
             yield _apply(matrices, vectors), [*structured, "I"].__getitem__
             for start, matrices in _random_hermitians(n_random, dim, rng):
@@ -507,8 +482,6 @@ def nogo_search(
 class InterferenceReport(NamedTuple):
     """Spectrum, expectations and overlap of one interference operator."""
 
-    scope: str
-    c1: complex
     b_eigenvalues: tuple[float, ...]
     expectation_pure: float
     expectation_mixed: float
@@ -530,12 +503,10 @@ def interference_analysis(
     pure, mixture = matched_pair(a, scope)
     op = interference_operator(pure.layout, c1, factors=pure.layout.labels)
     return InterferenceReport(
-        scope=scope,
-        c1=complex(c1),
         b_eigenvalues=op.eigenvalues,
         expectation_pure=expectation(pure, op),
         expectation_mixed=expectation(mixture, op),
-        k_value=overlap(op, pure, mixture).k_value,
+        k_value=overlap(op, pure, mixture),
     )
 
 
@@ -590,7 +561,7 @@ def channel_information(
         raise ValueError(f"direction sweep needs at least {MIN_DIRECTIONS} points")
     system_layout = SpaceLayout.of("S")
     sz = Observable(system_layout, PAULI_Z / 2.0, name="S_z")
-    k_sz = overlap(sz, prepare_system(1, 0), prepare_system(0, 1)).k_value
+    k_sz = overlap(sz, prepare_system(1, 0), prepare_system(0, 1))
 
     pure, mixture = matched_pair(a, "S")
     gamma, pre_k = _scan_extremum(

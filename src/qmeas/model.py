@@ -17,7 +17,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .hilbert import (
-    Immutable,
     Observable,
     SpaceLayout,
     StateVector,
@@ -213,33 +212,13 @@ def interference_operator(
     return embed_operator(op, list(factors), layout)
 
 
-class ObservableZoo(Immutable):
-    """Named observables embedded in one layout."""
-
-    __slots__ = ("members",)
-
-    def __init__(self, members: Mapping[str, Observable]):
-        object.__setattr__(self, "members", members)
-
-    def __getitem__(self, name: str) -> Observable:
-        try:
-            return self.members[name]
-        except KeyError:
-            raise KeyError(
-                f"no observable {name!r}; available: {sorted(self.members)}"
-            ) from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.members
-
-
 def zoo(
     layout: SpaceLayout,
     gamma: float = 0.0,
     c1: complex = 1.0 + 0.0j,
     direction: Sequence[float] = (1.0, 0.0, 0.0),
-) -> ObservableZoo:
-    """Build every named observable whose factors exist in ``layout``.
+) -> Mapping[str, Observable]:
+    """Read-only mapping of every named observable whose factors exist in ``layout``.
 
     ``gamma`` fixes the conjugate spin component S_a, ``c1`` the interference
     phases, ``direction`` the observer-algebra coefficients (d0, d1, d2) of
@@ -288,7 +267,7 @@ def zoo(
     if labels.issuperset(CHAIN_LABELS):
         members["B"] = interference_operator(layout, c1, factors=CHAIN_LABELS)
 
-    return ObservableZoo(members=MappingProxyType(members))
+    return MappingProxyType(members)
 
 
 def conjugate_spin_matrix(gamma) -> np.ndarray:

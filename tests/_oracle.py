@@ -8,7 +8,9 @@ candidate, embedded into the full layout and tested with the scalar
 The phase scans (``optimal_phase``, ``interference_phase_scan``,
 ``channel_information``) evaluate the scalar ``purity_rate`` or ``k_value``
 at every grid point and every sphere direction, then refine around the
-first grid extremum: the loops the batched scans must reproduce.  These
+first grid extremum: the loops the batched scans must reproduce.  The
+package computes K in one place, the stacked ``_overlaps`` that ``overlap``
+calls too, so ``k_value`` here is its independent reference.  These
 scalar forms are written out here (``math.cos``/``math.sin``, one
 ``eigh`` and the grouping rule one eigenvalue at a time, ``np.vdot`` or
 ``np.trace`` weights, a left-to-right sum), so they share no code with the
@@ -38,7 +40,7 @@ from qmeas.discrimination import (
     DiscriminationVerdict,
     ForcingCheck,
     PhaseScanResult,
-    fibonacci_sphere,
+    _sphere_rows,
 )
 from qmeas.ensembles import (
     FrequencyReport,
@@ -177,7 +179,7 @@ def nogo_search(layout_scope, states, n_candidates, tol=DEFAULT_EIGENSTATE_TOL, 
         if layout_scope in ("O", "D"):
             label = OBSERVER if layout_scope == "O" else DETECTOR
             sub = SpaceLayout.of(label)
-            for row in fibonacci_sphere(n_grid):
+            for row in _sphere_rows(n_grid, 0, n_grid):
                 op = Observable(sub, _pointer_algebra_matrix(row), name="A")
                 yield embed_operator(op, [label], psi.layout), tuple(row)
             for _ in range(n_random):
@@ -186,7 +188,7 @@ def nogo_search(layout_scope, states, n_candidates, tol=DEFAULT_EIGENSTATE_TOL, 
                 op = Observable(sub, _pointer_algebra_matrix(row), name="A")
                 yield embed_operator(op, [label], psi.layout), tuple(row)
         else:
-            structured = dict(zoo(psi.layout).members)
+            structured = dict(zoo(psi.layout))
             structured["I"] = Observable(psi.layout, np.eye(dim), name="I")
             for name, op in structured.items():
                 yield op, name
@@ -335,7 +337,7 @@ def channel_information(a, n_gamma=MIN_PHASE_GRID, n_directions=MIN_DIRECTIONS):
     mixed_d = partial_trace(mixed_sd, [DETECTOR])
     detector_layout = SpaceLayout.of(DETECTOR)
     post_k = 1.0
-    for row in fibonacci_sphere(n_directions):
+    for row in _sphere_rows(n_directions, 0, n_directions):
         op = Observable(detector_layout, _pointer_algebra_matrix(row), name="Q(n)")
         post_k = min(post_k, k_value(op, pure_d, mixed_d))
 

@@ -71,10 +71,10 @@ def test_criterion_1_conjugate_spin_overlap():
     ok = True
     for theta in np.linspace(0.0, math.pi / 2.0, 100):
         a1, a2 = math.cos(theta), math.sin(theta)
-        report = overlap(sx, prepare_system(a1, a2), system_mixture(a1**2, a2**2))
-        ok = ok and abs(report.k_value - (1.0 - a1 * a2)) <= 1e-9
+        k = overlap(sx, prepare_system(a1, a2), system_mixture(a1**2, a2**2))
+        ok = ok and abs(k - (1.0 - a1 * a2)) <= 1e-9
     symmetric = overlap(sx, prepare_system(SQ2, SQ2), system_mixture(0.5, 0.5))
-    ok = ok and abs(symmetric.k_value - 0.5) <= 1e-12
+    ok = ok and abs(symmetric - 0.5) <= 1e-12
     _verdict(1, "K(S_x) = 1 - |a1||a2| on the amplitude grid; 0.5 symmetric", ok)
 
 
@@ -85,7 +85,7 @@ def test_criterion_2_detector_side_blocking():
         mixed = chain_mixture(a1**2, a2**2, pure.layout)
         z = zoo(pure.layout)
         for name in ("Q", "Q_x", "Q_y"):
-            ok = ok and abs(overlap(z[name], pure, mixed).k_value - 1.0) <= 1e-9
+            ok = ok and abs(overlap(z[name], pure, mixed) - 1.0) <= 1e-9
         sweep = channel_information((a1, a2), n_directions=1000)
         ok = ok and abs(sweep.post_channel_k_min - 1.0) <= 1e-9
     _verdict(2, "K(Q*) = 1 and the 1000-direction detector sweep floors at 1", ok)
@@ -101,7 +101,7 @@ def test_criterion_3_interference_terms():
     weights = {round(lam, 6): w for lam, w in outcome_distribution(mixed, b)}
     ok = ok and abs(weights[1.0] - 0.5) <= 1e-10 and abs(weights[-1.0] - 0.5) <= 1e-10
 
-    ok = ok and abs(overlap(b, psi, mixed).k_value - 0.5) <= 1e-10
+    ok = ok and abs(overlap(b, psi, mixed) - 0.5) <= 1e-10
 
     for a1, a2 in [(0.6, 0.8), (0.6, 0.8 * np.exp(0.9j)), (SQ2, SQ2)]:
         _, k_min = interference_phase_scan((a1, a2), scope="MS")

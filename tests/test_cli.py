@@ -89,10 +89,20 @@ def test_env_seed_must_be_integer(monkeypatch):
         resolve(["simulate"])
 
 
-def test_config_integer_past_the_digit_limit_exits_one(tmp_path, capsys):
-    # json raises a plain ValueError here, which exited 2 as an invariant violation
+@pytest.mark.parametrize(
+    "text",
+    [
+        # json raises a plain ValueError here, which exited 2 as an invariant violation
+        '{"gamma": 1' + "0" * 5000 + "}",
+        # json raises RecursionError on these, which ended in a traceback
+        "[" * 100_000,
+        '{"n_env": ' + "[" * 5000,
+    ],
+    ids=["digits", "nested_arrays", "nested_value"],
+)
+def test_config_integer_past_the_digit_limit_exits_one(tmp_path, capsys, text):
     path = tmp_path / "config.json"
-    path.write_text('{"gamma": 1' + "0" * 5000 + "}")
+    path.write_text(text)
     rc, out, err = run_main(["simulate", "--events", "10", "--config", str(path)], capsys)
     assert rc == 1
     assert out == ""

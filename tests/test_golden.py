@@ -1,12 +1,15 @@
 """Reports at small fixed configs against the committed reports in ``golden/``.
 
-The files were written by the per-candidate implementation before the
-no-go search and the phase scans were batched; a refactor must reproduce
-them, including the order in which random candidates are drawn and the
-phases the scans report.  Non-floats must match exactly
-and floats to within 1e-13 (relative or absolute).  To regenerate one after
-a deliberate report change, run the ``argv`` below with ``--out`` pointing
-into ``tests/golden/``.
+Most files were written by the per-candidate implementation before the
+no-go search and the phase scans were batched; ``all.json`` was written
+again once K came from the one exact stacked kernel, which moved the last
+digits of its two direction-sweep minima.  Every file is byte for byte the
+report its ``argv`` writes today.  A refactor must reproduce them,
+including the order in which random candidates are drawn and the phases
+the scans report.  Non-floats must match exactly and floats to within
+1e-13 (relative or absolute).  To regenerate one after a deliberate
+report change, run the ``argv`` below with ``--out`` pointing into
+``tests/golden/``.
 """
 
 import json

@@ -22,7 +22,7 @@ from qmeas.discrimination import (
     _forcing_draws,
     _pointer_directions,
     _random_hermitians,
-    fibonacci_sphere,
+    _sphere_rows,
     forcing_check,
     nogo_search,
 )
@@ -98,7 +98,7 @@ def test_grid_batches_equal_the_whole_sphere_bit_for_bit():
     # each batch computes its own rows, so memory does not grow with n_grid
     n = 5001  # 29 full batches and a partial one
     got = np.concatenate(list(_pointer_directions(n, 0, None, OD_ROWS)))
-    assert np.array_equal(got, fibonacci_sphere(n))
+    assert np.array_equal(got, _sphere_rows(n, 0, n))
 
 
 def test_batched_draws_equal_sequential_draws():
@@ -108,7 +108,7 @@ def test_batched_draws_equal_sequential_draws():
     n_grid, n_directions, n_random = 70, 400, 150
     sequential = np.random.default_rng(3)
     rows = [sequential.normal(size=3) for _ in range(n_directions)]
-    want = np.concatenate([fibonacci_sphere(n_grid), [r / np.linalg.norm(r) for r in rows]])
+    want = np.concatenate([_sphere_rows(n_grid, 0, n_grid), [r / np.linalg.norm(r) for r in rows]])
     batches = list(_pointer_directions(n_grid, n_directions, np.random.default_rng(3), OD_ROWS))
     assert [len(b) for b in batches] == [70, OD_ROWS, OD_ROWS, 60]
     np.testing.assert_allclose(np.concatenate(batches), want, rtol=FLOAT_TOL, atol=FLOAT_TOL)

@@ -79,7 +79,7 @@ def test_grid_tie_at_zero_and_pi_picks_zero():
     pure, mixture = _oracle._chain_pair(a, "MS")
     grid = np.linspace(0.0, 2.0 * math.pi, MIN_PHASE_GRID, endpoint=False)
     k_at_zero, k_at_pi = (
-        overlap(interference_operator(pure.layout, np.exp(1j * p)), pure, mixture).k_value
+        overlap(interference_operator(pure.layout, np.exp(1j * p)), pure, mixture)
         for p in (grid[0], grid[MIN_PHASE_GRID // 2])
     )
     assert k_at_zero == k_at_pi
@@ -116,7 +116,7 @@ def test_scan_extremum_rejects_small_grid():
 
 def _scalar_overlaps(layout, matrices, state1, state2):
     return np.array(
-        [overlap(Observable(layout, m), state1, state2).k_value for m in matrices]
+        [overlap(Observable(layout, m), state1, state2) for m in matrices]
     )
 
 

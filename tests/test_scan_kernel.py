@@ -1,14 +1,16 @@
 """The exact stacked K kernel and the pi-mirrored half grid of the phase scans.
 
-Row n of ``_overlaps(matrices, s1, s2)`` must equal
-``overlap(Observable(layout, matrices[n]), s1, s2).k_value`` bit for bit:
-the scans report the phases and values it finds.  The scans evaluate the
-first half of the grid only and copy those values onto the second half
-(G(p + pi) = -G(p) for every scanned family); the near set of the copied
-extremum is scored again at its own phases and the refinement scores each
-pair of inner points in one call, so the reports equal the per-point loops
-of ``_oracle``.  The direction sweep of ``channel_information`` runs in
-batches, so its memory does not grow with ``n_directions``.
+``_overlaps`` is the one K kernel: ``overlap`` is its one-row call.  Row n
+of ``_overlaps(matrices, s1, s2)`` must equal that one-row call on
+``matrices[n]`` and the scalar loop ``_oracle.k_value``, which shares no
+code with it, bit for bit: the scans report the phases and values it
+finds.  The scans evaluate the first half of the grid only and copy those
+values onto the second half (G(p + pi) = -G(p) for every scanned family);
+the near set of the copied extremum is scored again at its own phases and
+the refinement scores each pair of inner points in one call, so the
+reports equal the per-point loops of ``_oracle``.  The direction sweep of
+``channel_information`` runs in batches, so its memory does not grow with
+``n_directions``.
 """
 
 import math
@@ -26,8 +28,8 @@ from qmeas.discrimination import (
     _batch_rows,
     _overlaps,
     _scan_extremum,
+    _sphere_rows,
     channel_information,
-    fibonacci_sphere,
     interference_phase_scan,
     matched_pair,
     optimal_phase,
@@ -39,6 +41,7 @@ from qmeas.hilbert import (
     SpaceLayout,
     StateVector,
     born,
+    outcome_distribution,
     partial_trace,
 )
 from qmeas.model import PAULI_Z, conjugate_spin_matrix, interference_matrix, prepare_system
@@ -54,7 +57,8 @@ def _assert_kernel_exact(layout, matrices, pairs):
     stack = np.stack(matrices)
     for state1, state2 in pairs:
         got = _overlaps(stack, state1, state2).tolist()
-        assert got == [overlap(Observable(layout, m), state1, state2).k_value for m in stack]
+        # a row does not depend on the other rows of its stack
+        assert got == [overlap(Observable(layout, m), state1, state2) for m in stack]
         # the scalar loop of _oracle shares no code with the stacked kernel
         assert got == [_oracle.k_value(Observable(layout, m), state1, state2) for m in stack]
 
@@ -122,11 +126,13 @@ def test_k_is_the_left_to_right_group_sum_on_every_python():
         op = Observable(sdo, random_hermitian(rng, 8))
         pure = StateVector(sdo, random_pure(rng, 8))
         mixed = DensityMatrix(sdo, random_density(rng, 8))
-        terms = [min(w1, w2) for _, w1, w2 in overlap(op, pure, mixed).weights]
+        # the public distributions carry the kernel's group weights exactly
+        dist1, dist2 = outcome_distribution(pure, op), outcome_distribution(mixed, op)
+        terms = [min(w1, w2) for (_, w1), (_, w2) in zip(dist1, dist2)]
         plain = 0.0
         for term in terms:
             plain += term
-        assert overlap(op, pure, mixed).k_value == plain
+        assert overlap(op, pure, mixed) == plain
         assert _overlaps(op.matrix[None], pure, mixed)[0] == plain
         differs += math.fsum(terms) != plain
     assert differs > 0
@@ -236,7 +242,8 @@ def test_direction_sweep_equals_the_whole_array_minimum(n_directions):
     a = (0.28, 0.96j)
     pure_sd, mixed_sd = matched_pair(a, "SD")
     pure_d, mixed_d = (partial_trace(s, ["D"]) for s in (pure_sd, mixed_sd))
-    matrices = np.einsum("nk,kab->nab", fibonacci_sphere(n_directions), _POINTER_BASIS)
+    directions = _sphere_rows(n_directions, 0, n_directions)
+    matrices = np.einsum("nk,kab->nab", directions, _POINTER_BASIS)
     whole = min(1.0, float(_overlaps(matrices, pure_d, mixed_d).min()))
     report = channel_information(a, n_directions=n_directions)
     assert report.post_channel_k_min == whole
