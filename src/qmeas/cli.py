@@ -22,6 +22,7 @@ import stat
 import sys
 import tempfile
 import time
+from collections import Counter
 from typing import NamedTuple
 
 import numpy as np
@@ -123,10 +124,18 @@ def _parse_amplitude(text: str, flag: str) -> tuple[float, float]:
     return re_part, im_part
 
 
+def _unique_keys(pairs: list) -> dict:
+    """``object_pairs_hook`` for config files: a key given twice is an error, not a choice."""
+    repeated = sorted(key for key, n in Counter(key for key, _ in pairs).items() if n > 1)
+    if repeated:
+        raise ConfigError(f"repeated config keys {repeated}")
+    return dict(pairs)
+
+
 def _load_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
+            raw = json.load(handle, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
     except (ValueError, RecursionError) as exc:  # also too many digits, or deep nesting

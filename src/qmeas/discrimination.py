@@ -32,12 +32,11 @@ from .hilbert import (
     StateVector,
     born,
     checked_hermitian,
-    eigen_groups,
     expectation,
+    grouped_spectra,
     outcome_weights,
     partial_trace,
     require_same_layout,
-    spectral_projectors,
 )
 from .model import (
     DETECTOR,
@@ -104,23 +103,15 @@ def _left_to_right(terms):
 def _overlaps(matrices: np.ndarray, state1: State, state2: State) -> np.ndarray:
     """K under each matrix of a Hermitian stack; the one K kernel, ``overlap`` included.
 
-    Each row runs the Hermiticity gate, ``eigh``, the grouping rule
-    ``eigen_groups``, the group projectors and the checked Born weights of
-    ``outcome_weights``, stacked over the rows that share one group
-    structure (the first remaining row's, until none remain), then a
-    left-to-right sum of min(w1, w2) over the groups.  Row n therefore does
-    not depend on the other rows of the stack.
+    ``grouped_spectra`` gives the group projectors of the rows that share
+    one group structure; each row then takes the checked Born weights of
+    ``outcome_weights`` on them and a left-to-right sum of min(w1, w2) over
+    the groups.  Row n therefore does not depend on the other rows of the
+    stack.
     """
     require_same_layout(state1, state2)
-    values, vectors = np.linalg.eigh(checked_hermitian(matrices))
-    joined = eigen_groups(values)
-    k = np.empty(len(values))
-    rest = np.arange(len(values))
-    while len(rest):
-        same = (joined[rest] == joined[rest[0]]).all(axis=1)
-        rows, rest = rest[same], rest[~same]
-        pattern = joined[rows[0]]
-        projectors = np.array([p for _, _, p in spectral_projectors(vectors[rows], pattern)])
+    k = np.empty(len(matrices))
+    for rows, _, _, projectors in grouped_spectra(matrices):
         w1, w2 = (outcome_weights(state, projectors) for state in (state1, state2))
         k[rows] = _left_to_right(np.minimum(w1, w2))
     return k
@@ -327,6 +318,18 @@ def _pointer_directions(n_grid: int, n_random: int, rng: np.random.Generator, ro
         yield draws / np.linalg.norm(draws, axis=1, keepdims=True)
 
 
+def _branch_amplitudes(states: tuple[StateVector, StateVector, StateVector]):
+    """(a1, a2) = (<b1|psi>, <b2|psi>) of a state triple (psi, b1, b2) on one
+    layout with orthonormal branches; raises ValueError otherwise."""
+    psi, b1, b2 = states
+    if not psi.layout == b1.layout == b2.layout:
+        raise ValueError("target and branches must share one layout")
+    if abs(np.vdot(b1.amplitudes, b2.amplitudes)) > ATOL_ORTHONORMAL:
+        raise ValueError("branch states must be orthonormal")
+    return (complex(np.vdot(b1.amplitudes, psi.amplitudes)),
+            complex(np.vdot(b2.amplitudes, psi.amplitudes)))
+
+
 def forcing_check(
     states: tuple[StateVector, StateVector, StateVector],
     n_samples: int = 1000,
@@ -336,15 +339,14 @@ def forcing_check(
     """Sample Hermitian G with the branches as exact eigenvectors and record
     the substitution residual and the forced eigenvalue gap.
 
-    The identity depends on the state triple only, not on an observable
-    family, so one check covers every ``nogo_search`` scope on ``states``.
+    The identity depends on the state triple only, checked as in
+    ``nogo_search``, so one check covers every scope on ``states``.
     """
     if not tol > 0:  # NaN fails too
         raise ValueError("tol must be positive")
     psi, b1, b2 = states
+    a1, a2 = _branch_amplitudes(states)
     dim = psi.layout.total_dim
-    a1 = complex(np.vdot(b1.amplitudes, psi.amplitudes))
-    a2 = complex(np.vdot(b2.amplitudes, psi.amplitudes))
     p1 = np.outer(b1.amplitudes, b1.amplitudes.conj())
     p2 = np.outer(b2.amplitudes, b2.amplitudes.conj())
     complement = np.eye(dim) - p1 - p2
@@ -397,13 +399,8 @@ def nogo_search(
     if not tol > 0:  # NaN fails too
         raise ValueError("tol must be positive")
     psi, b1, b2 = states
-    if not psi.layout == b1.layout == b2.layout:
-        raise ValueError("target and branches must share one layout")
-    if abs(np.vdot(b1.amplitudes, b2.amplitudes)) > ATOL_ORTHONORMAL:
-        raise ValueError("branch states must be orthonormal")
+    a1, a2 = _branch_amplitudes(states)
     vectors = np.stack([psi.amplitudes, b1.amplitudes, b2.amplitudes])
-    a1 = complex(np.vdot(b1.amplitudes, psi.amplitudes))
-    a2 = complex(np.vdot(b2.amplitudes, psi.amplitudes))
     if abs(a1 * a2) <= DEGENERATE_AMPLITUDE:
         return DiscriminationVerdict(
             family_description=(

@@ -7,6 +7,10 @@ Storage is dense ``complex128`` throughout; the largest space used anywhere
 in this package is 13 qubits (dimension 8192), where dense wins on
 simplicity.
 
+``grouped_spectra`` is the one spectral decomposition: ``Observable.spectrum``
+is its one-row call, and the overlap kernel of :mod:`qmeas.discrimination`
+runs it on whole stacks.
+
 All operations are pure functions on immutable values (arrays are frozen at
 construction), so they are safe to call from concurrent contexts.
 """
@@ -167,33 +171,33 @@ class SpectralEntry(NamedTuple):
     multiplicity: int
 
 
-class Observable:
+class Observable(Immutable):
     """Hermitian operator with a grouped spectral decomposition.
 
     The input matrix must be Hermitian within ``ATOL_HERMITIAN_INPUT``; the
     stored copy is symmetrized so downstream code sees an exactly Hermitian
-    matrix.  The spectral decomposition is computed lazily on first access
-    and merges eigenvalues closer than the relative grouping tolerance into
-    one entry, so degenerate spectra yield stable projectors.
+    matrix.  ``spectrum`` is the one-row call of ``grouped_spectra``,
+    computed on each access.
     """
 
-    __slots__ = ("layout", "matrix", "name", "_spectrum")
+    __slots__ = ("layout", "matrix", "name")
 
     def __init__(self, layout: SpaceLayout, matrix, name: str | None = None):
         dim = layout.total_dim
         arr = np.array(matrix, dtype=np.complex128)
         if arr.shape != (dim, dim):
             raise ValueError(f"matrix has shape {arr.shape}, layout needs ({dim}, {dim})")
-        self.layout = layout
-        self.matrix = _frozen(checked_hermitian(arr))
-        self.name = name
-        self._spectrum: tuple[SpectralEntry, ...] | None = None
+        object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "matrix", _frozen(checked_hermitian(arr)))
+        object.__setattr__(self, "name", name)
 
     @property
     def spectrum(self) -> tuple[SpectralEntry, ...]:
-        if self._spectrum is None:
-            self._spectrum = _grouped_spectrum(self.matrix)
-        return self._spectrum
+        ((_, values, cuts, projectors),) = grouped_spectra(self.matrix[None])
+        return tuple(
+            SpectralEntry(float(values[0, start:stop].mean()), _frozen(group[0]), stop - start)
+            for start, stop, group in zip(cuts, cuts[1:], projectors)
+        )
 
     @property
     def eigenvalues(self) -> tuple[float, ...]:
@@ -212,34 +216,27 @@ def checked_hermitian(matrices: np.ndarray) -> np.ndarray:
     return (matrices + adjoints) / 2.0
 
 
-def eigen_groups(values: np.ndarray) -> np.ndarray:
-    """Per row of ascending eigenvalues, whether each one joins its predecessor's group.
+def grouped_spectra(matrices: np.ndarray):
+    """Hermiticity gate, one stacked ``eigh`` and eigenvalue groups of a stack of matrices.
 
-    l_k joins when l_k - l_(k-1) <= EIG_GROUP_RTOL * max(1, |l_(k-1)|).
+    Ascending l_k joins the group of l_(k-1) when
+    l_k - l_(k-1) <= EIG_GROUP_RTOL * max(1, |l_(k-1)|).  Yields
+    (rows, values, cuts, projectors) for the rows sharing one group structure
+    (the first remaining row's, until none remain): group g holds
+    ``values[:, cuts[g]:cuts[g + 1]]``, and projectors[g, n] = B B^H over its
+    eigenvectors B in row n, which depends on no other row.
     """
-    before = values[..., :-1]
-    return values[..., 1:] - before <= EIG_GROUP_RTOL * np.maximum(1.0, abs(before))
-
-
-def spectral_projectors(vectors: np.ndarray, joined: np.ndarray):
-    """(start, stop, projector) of each eigenvalue group, in ascending order.
-
-    ``vectors`` holds the ``eigh`` eigenvectors of one matrix or of a stack
-    that shares one row ``joined`` of ``eigen_groups``; a stack yields one
-    projector per matrix.
-    """
-    cuts = [0, *(np.flatnonzero(~joined) + 1).tolist(), len(joined) + 1]
-    for start, stop in zip(cuts, cuts[1:]):
-        block = vectors[..., start:stop]
-        yield start, stop, block @ block.conj().swapaxes(-1, -2)
-
-
-def _grouped_spectrum(matrix: np.ndarray) -> tuple[SpectralEntry, ...]:
-    values, vectors = np.linalg.eigh(matrix)
-    return tuple(
-        SpectralEntry(float(values[start:stop].mean()), _frozen(projector), stop - start)
-        for start, stop, projector in spectral_projectors(vectors, eigen_groups(values))
-    )
+    values, vectors = np.linalg.eigh(checked_hermitian(matrices))
+    before = values[:, :-1]
+    joined = values[:, 1:] - before <= EIG_GROUP_RTOL * np.maximum(1.0, abs(before))
+    rest = np.arange(len(values))
+    while len(rest):
+        same = (joined[rest] == joined[rest[0]]).all(axis=1)
+        rows, rest = rest[same], rest[~same]
+        cuts = [0, *(np.flatnonzero(~joined[rows[0]]) + 1).tolist(), values.shape[1]]
+        stack = vectors[rows]
+        blocks = (stack[..., start:stop] for start, stop in zip(cuts, cuts[1:]))
+        yield rows, values[rows], cuts, np.array([b @ b.conj().swapaxes(-1, -2) for b in blocks])
 
 
 State = Union[StateVector, DensityMatrix]
@@ -407,5 +404,6 @@ def outcome_weights(state: State, projectors) -> np.ndarray:
 def outcome_distribution(state: State, op: Observable) -> list[tuple[float, float]]:
     """Measurement distribution of ``op`` in ``state``, one entry per spectral group."""
     require_same_layout(state, op)
-    weights = outcome_weights(state, [entry.projector for entry in op.spectrum])
-    return list(zip(op.eigenvalues, weights.tolist()))
+    spectrum = op.spectrum
+    weights = outcome_weights(state, [entry.projector for entry in spectrum])
+    return [(entry.eigenvalue, w) for entry, w in zip(spectrum, weights.tolist())]

@@ -109,6 +109,17 @@ def test_config_integer_past_the_digit_limit_exits_one(tmp_path, capsys, text):
     assert err.count("\n") == 1 and "not valid JSON" in err and "Traceback" not in err
 
 
+def test_repeated_config_key_exits_one(tmp_path, capsys):
+    # json keeps the last value of a repeated key, which ran at gamma 0.2
+    path = tmp_path / "config.json"
+    path.write_text('{"gamma": 0.1, "n_env": 3, "gamma": 0.2}')
+    rc, out, err = run_main(["discriminate", "--config", str(path)], capsys)
+    assert rc == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "repeated config keys ['gamma']" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_config_key_rejected(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"a1_real": 1.0}))

@@ -258,10 +258,21 @@ def test_eigen_test_positive_control():
     assert eigen_triple(op, target, b1, b2) == pytest.approx((5.0, 1.0, 2.0))
 
 
-def test_eigen_test_rejects_non_orthonormal_branches():
-    psi, b1, _ = chain_states(0.6, 0.8)
-    with pytest.raises(ValueError, match="orthonormal"):
-        nogo_search("O", (psi, b1, b1), 10_000)
+@pytest.mark.parametrize(
+    "check",
+    [lambda states: nogo_search("O", states, 10_000), lambda states: forcing_check(states, 10)],
+    ids=["nogo_search", "forcing_check"],
+)
+@pytest.mark.parametrize("defect", ["non_orthogonal", "other_layout"])
+def test_eigen_test_rejects_non_orthonormal_branches(check, defect):
+    psi, b1, b2 = chain_states(0.6, 0.8)
+    if defect == "non_orthogonal":
+        states, message = (psi, b1, b1), "orthonormal"
+    else:  # same dimension, other factors
+        elsewhere = StateVector(SpaceLayout.of("A", "B", "C"), b2.amplitudes)
+        states, message = (psi, b1, elsewhere), "one layout"
+    with pytest.raises(ValueError, match=message):
+        check(states)
 
 
 # ------------------------------------------------------------ forcing check

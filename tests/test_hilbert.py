@@ -14,11 +14,13 @@ from qmeas.hilbert import (
     basis_state,
     embed_operator,
     expectation,
+    grouped_spectra,
     is_eigenstate,
     outcome_distribution,
     partial_trace,
     tensor_state,
 )
+from qmeas.model import interference_matrix
 
 from _helpers import random_density, random_hermitian, random_pure
 
@@ -84,11 +86,15 @@ def test_state_amplitudes_are_frozen():
         state.amplitudes[0] = 0.0
 
 
-@pytest.mark.parametrize("kind", ["state", "density"])
+@pytest.mark.parametrize("kind", ["state", "density", "observable"])
 def test_states_reject_attribute_assignment_and_compare_by_identity(kind):
     state = basis_state(S, [0])
-    value, name = (state, "amplitudes") if kind == "state" else (state.density(), "matrix")
-    for attr in ("layout", name):
+    value, name = {
+        "state": (state, "amplitudes"),
+        "density": (state.density(), "matrix"),
+        "observable": (Observable(S, Z, name="S_z"), "matrix"),
+    }[kind]
+    for attr in value.__slots__:
         with pytest.raises(AttributeError, match=attr):
             setattr(value, attr, getattr(value, attr))
         with pytest.raises(AttributeError):
@@ -104,11 +110,13 @@ def test_states_reject_attribute_assignment_and_compare_by_identity(kind):
 def test_values_survive_copy_and_pickle(clone):
     assert clone(SD) == SD
     state = basis_state(SD, [0, 1])
-    for value, name in ((state, "amplitudes"), (state.density(), "matrix")):
+    obs = Observable(SD, np.diag([1.0, 1.0, 2.0, 3.0]), name="G")
+    for value, name in ((state, "amplitudes"), (state.density(), "matrix"), (obs, "matrix")):
         twin = clone(value)
         assert twin.layout == value.layout
         assert np.array_equal(getattr(twin, name), getattr(value, name))
         assert not getattr(twin, name).flags.writeable
+    assert clone(obs).name == "G"
 
 
 # ------------------------------------------------------------ tensor_state
@@ -270,6 +278,29 @@ def test_interference_matrix_spectrum_contains_plus_minus_one():
     obs = Observable(SDO, b)
     assert obs.eigenvalues == pytest.approx((-1.0, 0.0, 1.0))
     assert [e.multiplicity for e in obs.spectrum] == [1, 6, 1]
+
+
+def test_spectrum_is_the_one_row_call_of_grouped_spectra():
+    rng = np.random.default_rng(29)
+    stack = np.stack([
+        np.eye(8),
+        random_hermitian(rng, 8),
+        interference_matrix(np.exp(0.7j), 3),  # groups of 1, 6 and 1
+        random_hermitian(rng, 8),
+        np.diag([1.0, 1.0, 2.0, 2.0, 2.0, 3.0, 4.0, 5.0]),
+    ])
+    structures, seen = [], []
+    for rows, values, cuts, projectors in grouped_spectra(stack):
+        structures.append(np.diff(cuts).tolist())
+        for i, n in enumerate(rows.tolist()):
+            spectrum = Observable(SDO, stack[n]).spectrum
+            assert [e.multiplicity for e in spectrum] == structures[-1]
+            for entry, start, stop, group in zip(spectrum, cuts, cuts[1:], projectors):
+                assert entry.eigenvalue == float(values[i, start:stop].mean())
+                assert entry.projector.tobytes() == group[i].tobytes()  # bit for bit
+            seen.append(n)
+    assert sorted(seen) == list(range(len(stack)))
+    assert structures == [[8], [1] * 8, [1, 6, 1], [2, 3, 1, 1, 1]]
 
 
 def test_observable_rejects_non_hermitian():
