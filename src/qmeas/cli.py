@@ -30,6 +30,8 @@ import numpy as np
 from .discrimination import (
     DEGENERATE_AMPLITUDE,
     MIN_NOGO_SAMPLES,
+    N_DIRECTIONS,
+    PHASE_GRID,
     channel_information,
     forcing_check,
     interference_analysis,
@@ -58,6 +60,7 @@ from .model import (
 SEED_ENV_VAR = "QMEAS_SEED"
 MAX_N_ENV = 10  # 3 chain qubits + 10 = 13 qubits, the largest dense state supported
 MAX_N_EVENTS = 10**9  # about 10 s of `simulate` with the streamed sampler
+MAX_CONFIG_CHARS = 2**20  # a flat config is under 1 KB; /dev/zero must not fill memory
 AMPLITUDE_REJECT = 1e-6
 AMPLITUDE_WARN = 1e-9
 
@@ -135,7 +138,10 @@ def _unique_keys(pairs: list) -> dict:
 def _load_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle, object_pairs_hook=_unique_keys)
+            text = handle.read(MAX_CONFIG_CHARS + 1)
+        if len(text) > MAX_CONFIG_CHARS:
+            raise ConfigError(f"config file {path!r} is longer than {MAX_CONFIG_CHARS} characters")
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
     except (ValueError, RecursionError) as exc:  # also too many digits, or deep nesting
@@ -376,8 +382,8 @@ def _channel_section(config: ExperimentConfig, _warn, channel) -> dict:
         "post_channel_K_min": metric(
             report.post_channel_k_min, target=1.0, tolerance=1e-9
         ),
-        "n_gamma": report.n_gamma,
-        "n_directions": report.n_directions,
+        "n_gamma": PHASE_GRID,
+        "n_directions": N_DIRECTIONS,
     }
 
 
@@ -684,7 +690,16 @@ def main(argv: list[str] | None = None) -> int:
         if config.output_path:
             _write_report(config.output_path, text)
         else:
-            sys.stdout.write(text)
+            try:
+                sys.stdout.write(text)
+                sys.stdout.flush()
+            except OSError as exc:
+                # what stays buffered would fail again, with a traceback, at exit
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+                raise ConfigError(
+                    f"cannot write report to stdout: {exc.strerror or exc}") from None
     except ConfigError as exc:
         print(f"qmeas: error: {exc}", file=sys.stderr)
         return 1

@@ -58,8 +58,8 @@ DISTINCTNESS_THRESHOLD = 1e-6   # eigenvalue separation that counts as discrimin
 DEGENERATE_AMPLITUDE = 1e-12    # |a1 a2| below this is out of the no-go regime
 INDETERMINATE_PURITY = 1e-10    # below this the optimal phase is meaningless
 MIN_NOGO_SAMPLES = 10_000
-MIN_PHASE_GRID = 3600
-MIN_DIRECTIONS = 1000
+PHASE_GRID = 3600               # points of every phase scan; even, for the mirrored half grid
+N_DIRECTIONS = 1000             # detector directions of the post-channel sweep
 ATOL_ORTHONORMAL = 1e-9
 
 
@@ -144,40 +144,36 @@ SCAN_TIE_WINDOW = 1e-12  # mirrored grid values this close to the extremum are r
 
 
 def _scan_extremum(
-    objective: Callable[[np.ndarray], np.ndarray], n_grid: int, minimize: bool, dim: int
+    objective: Callable[[np.ndarray], np.ndarray], minimize: bool, dim: int
 ) -> tuple[float, float]:
-    """Phase in [0, 2 pi) extremizing ``objective``: grid scan plus refinement.
+    """Phase in [0, 2 pi) extremizing ``objective``: ``PHASE_GRID`` scan plus refinement.
 
     ``objective(phases)`` returns the exact value at each phase of an array
-    of dim x dim matrices; it is called on ``_batch_rows(dim)`` phases at most.
-    Every scanned family is linear in (cos p, sin p), so G(p + pi) = -G(p),
-    and K and 2|<S_a>| are invariant under G -> -G: the objective runs on
-    the first half of the (even) grid only and its values are copied onto
-    the second half.  A copied value differs from the value at its own point
-    by roundoff, so the grid points within ``SCAN_TIE_WINDOW`` of the copied
-    extremum are scored again at their own phases, and the first extremal
-    one is refined by an 80-step ternary search that scores each pair of
-    inner points in one call.  The result is the one a point-by-point scan
-    finds (exact grid ties at p and p + pi are the rule).  Returns the
-    unwrapped phase and its value.
+    of dim x dim matrices; it is called on ``_batch_rows(dim * dim)`` phases
+    at most.  Every scanned family is linear in (cos p, sin p), so
+    G(p + pi) = -G(p), and K and 2|<S_a>| are invariant under G -> -G: the
+    objective runs on the first half of the (even) grid only and its values
+    are copied onto the second half.  A copied value differs from the value
+    at its own point by roundoff, so the grid points within
+    ``SCAN_TIE_WINDOW`` of the copied extremum are scored again at their own
+    phases, and the first extremal one is refined by an 80-step ternary
+    search that scores each pair of inner points in one call.  The result is
+    the one a point-by-point scan finds (exact grid ties at p and p + pi are
+    the rule).  Returns the unwrapped phase and its value.
     """
-    if n_grid < MIN_PHASE_GRID:
-        raise ValueError(f"phase grid needs at least {MIN_PHASE_GRID} points")
-    if n_grid % 2:
-        raise ValueError(f"phase grid needs an even number of points, got {n_grid}")
-    rows = _batch_rows(dim)
+    rows = _batch_rows(dim * dim)
     sign = 1.0 if minimize else -1.0
 
     def score(phases: np.ndarray) -> np.ndarray:
         batches = _chunks(len(phases), rows)
         return sign * np.concatenate([objective(phases[i:i + size]) for i, size in batches])
 
-    grid = np.linspace(0.0, 2.0 * math.pi, n_grid, endpoint=False)
-    half = score(grid[: n_grid // 2])
+    grid = np.linspace(0.0, 2.0 * math.pi, PHASE_GRID, endpoint=False)
+    half = score(grid[: PHASE_GRID // 2])
     values = np.concatenate([half, half])
     near = np.flatnonzero(values <= values.min() + SCAN_TIE_WINDOW)
     best = grid[near[int(np.argmin(score(grid[near])))]]
-    step = 2.0 * math.pi / n_grid
+    step = 2.0 * math.pi / PHASE_GRID
     lo, hi = best - step, best + step
     for _ in range(80):
         third = (hi - lo) / 3.0
@@ -188,18 +184,16 @@ def _scan_extremum(
     return x, float(objective(np.array([x]))[0])
 
 
-def optimal_phase(rho_s: State, n_grid: int = MIN_PHASE_GRID) -> PhaseScanResult:
+def optimal_phase(rho_s: State) -> PhaseScanResult:
     """Grid scan plus local refinement of the purity rate over the phase.
 
-    ``n_grid`` must be even and at least ``MIN_PHASE_GRID``.  The returned
-    phase is canonicalized so the conjugate-spin expectation is nonnegative
-    there; a maximally mixed input has no meaningful maximizer and is
-    reported with ``gamma=None``.
+    The returned phase is canonicalized so the conjugate-spin expectation is
+    nonnegative there; a maximally mixed input has no meaningful maximizer
+    and is reported with ``gamma=None``.
     """
     _single_qubit(rho_s)
     gamma, purity = _scan_extremum(
         lambda gammas: 2.0 * np.abs(_spin_expectations(rho_s, gammas)),
-        n_grid,
         minimize=False,
         dim=2,
     )
@@ -269,21 +263,21 @@ def _sphere_rows(n: int, start: int, size: int) -> np.ndarray:
 
 _POINTER_BASIS = np.stack([PAULI_Z, PAULI_X, PAULI_Y])
 _POINTER_FAMILY = "{} pointer algebra on the coefficient sphere ({} grid + {} random points)"
-# rows per batch; 256 is faster but lifts `nogo` peak RSS 6% (1024: 18%).
-# O and D batches take _CHUNK * dim // 3 directions, so their (rows, 3, dim)
-# products hold as many entries as (_CHUNK, dim, dim) matrices
-_CHUNK = 64
 
 
-def _chunks(n: int, size: int = _CHUNK):
+def _chunks(n: int, size: int):
     """(start, size) of the consecutive batches that cover ``range(n)``."""
     for start in range(0, n, size):
         yield start, min(size, n - start)
 
 
-def _batch_rows(dim: int) -> int:
-    """Rows of a batch of dim x dim matrices in the scans: the entries of a 64-row MS batch."""
-    return _CHUNK * 64 // dim**2
+def _batch_rows(row_entries: int) -> int:
+    """Rows per batch of every batched loop, about 4096 entries a batch.
+
+    At dim 8 that is 64 MS or forcing matrices and 170 O/D (3, dim) products;
+    at dim 2, 1024 scan phases.  256 rows at dim 8 lift `nogo` peak RSS 6%.
+    """
+    return max(1, 4096 // row_entries)
 
 
 def _hermitians(parts: np.ndarray) -> np.ndarray:
@@ -296,23 +290,23 @@ def _hermitians(parts: np.ndarray) -> np.ndarray:
 
 def _random_hermitians(n: int, dim: int, rng: np.random.Generator):
     """(start, matrices) per batch; each matrix draws its real, then imaginary part."""
-    for start, size in _chunks(n):
+    for start, size in _chunks(n, _batch_rows(dim * dim)):
         yield start, _hermitians(rng.standard_normal((size, 2, dim, dim)))
 
 
 def _forcing_draws(n: int, dim: int, rng: np.random.Generator):
     """(g1, g2, H) per batch; sample k draws g1, g2, then H as above, and
     g2 = g1 on even k so that the target passes the eigenstate test."""
-    for start, size in _chunks(n):
+    for start, size in _chunks(n, _batch_rows(dim * dim)):
         draw = rng.standard_normal((size, 2 + 2 * dim * dim))
         g2 = np.where(np.arange(start, start + size) % 2 == 0, draw[:, 0], draw[:, 1])
         yield draw[:, 0], g2, _hermitians(draw[:, 2:].reshape(size, 2, dim, dim))
 
 
-def _pointer_directions(n_grid: int, n_random: int, rng: np.random.Generator, rows: int):
-    """Pointer-algebra coefficients in batches of ``rows``, in scan order: grid, then random."""
-    for start, size in _chunks(n_grid, rows):
-        yield _sphere_rows(n_grid, start, size)
+def _pointer_directions(n_sphere: int, n_random: int, rng: np.random.Generator, rows: int):
+    """Pointer-algebra coefficients, ``rows`` per batch: ``n_sphere`` grid points, then random."""
+    for start, size in _chunks(n_sphere, rows):
+        yield _sphere_rows(n_sphere, start, size)
     for _, size in _chunks(n_random, rows):
         draws = rng.standard_normal((size, 3))
         yield draws / np.linalg.norm(draws, axis=1, keepdims=True)
@@ -416,8 +410,8 @@ def nogo_search(
 
     rng = np.random.default_rng(seed)
     dim = psi.layout.total_dim
-    n_grid = 0 if layout_scope == "MS" else n_candidates // 2
-    n_random = n_candidates - n_grid
+    n_sphere = 0 if layout_scope == "MS" else n_candidates // 2
+    n_random = n_candidates - n_sphere
 
     def candidate_chunks():
         """Batches of (products[n, s] = G_n v_s, label(n): the parameters of G_n)."""
@@ -429,7 +423,7 @@ def nogo_search(
             tensors = vectors.reshape(3, 2**axis, 2, -1)
             basis = np.einsum("kij,sajb->ksaib", checked_hermitian(_POINTER_BASIS), tensors)
             basis = basis.reshape(3, 3 * dim)
-            for directions in _pointer_directions(n_grid, n_random, rng, _CHUNK * dim // 3):
+            for directions in _pointer_directions(n_sphere, n_random, rng, _batch_rows(3 * dim)):
                 products = (directions @ basis).reshape(len(directions), 3, dim)
                 yield products, lambda n, directions=directions: tuple(directions[n])
         else:
@@ -446,7 +440,7 @@ def nogo_search(
         )
     else:
         factor = "observer" if layout_scope == "O" else "detector"
-        family = _POINTER_FAMILY.format(factor, n_grid, n_random)
+        family = _POINTER_FAMILY.format(factor, n_sphere, n_random)
 
     n_tested = 0
     witness = None
@@ -507,14 +501,11 @@ def interference_analysis(
     )
 
 
-def interference_phase_scan(
-    a: tuple[complex, complex], scope: str = "MS", n_grid: int = MIN_PHASE_GRID
-) -> tuple[float, float]:
+def interference_phase_scan(a: tuple[complex, complex], scope: str = "MS") -> tuple[float, float]:
     """Phase of the interference term minimizing the pure/mixed overlap.
 
-    Scans c1 = exp(i phase) over a uniform grid of ``n_grid`` points (even,
-    at least ``MIN_PHASE_GRID``) with local refinement and returns
-    (phase, minimal K).
+    Scans c1 = exp(i phase) over a uniform grid of ``PHASE_GRID`` points
+    with local refinement and returns (phase, minimal K).
     """
     if scope not in ("MS", "SD"):
         raise ValueError("scope must be 'MS' or 'SD'")
@@ -524,7 +515,7 @@ def interference_phase_scan(
     def k_values(phases: np.ndarray) -> np.ndarray:
         return _overlaps(interference_matrix(np.exp(1j * phases), n_factors), pure, mixture)
 
-    phase, k_min = _scan_extremum(k_values, n_grid, minimize=True, dim=pure.layout.total_dim)
+    phase, k_min = _scan_extremum(k_values, minimize=True, dim=pure.layout.total_dim)
     return float(phase % (2.0 * math.pi)), float(k_min)
 
 
@@ -535,27 +526,19 @@ class ChannelInformationReport(NamedTuple):
     pre_channel_gamma: float
     pre_channel_k_min: float
     post_channel_k_min: float
-    n_gamma: int
-    n_directions: int
 
 
-def channel_information(
-    a: tuple[complex, complex],
-    n_gamma: int = MIN_PHASE_GRID,
-    n_directions: int = MIN_DIRECTIONS,
-) -> ChannelInformationReport:
+def channel_information(a: tuple[complex, complex]) -> ChannelInformationReport:
     """Overlap accounting across the measurement channel.
 
     Reports the overlap of the two incoming basis states under the measured
     spin component (zero: one full bit), the minimal input-side overlap of
-    the pure state against the matched mixture over the conjugate-spin
-    sweep, and the minimal detector-side overlap over a sphere of detector
-    observables after premeasurement (one: nothing about purity arrives).
-    ``n_gamma`` must be even and at least ``MIN_PHASE_GRID``; the
-    ``n_directions`` sweep runs in batches, so its memory stays bounded.
+    the pure state against the matched mixture over the ``PHASE_GRID``
+    conjugate-spin sweep, and the minimal detector-side overlap over
+    ``N_DIRECTIONS`` detector observables on the Fibonacci sphere after
+    premeasurement, scored in one stacked call (one: nothing about purity
+    arrives).
     """
-    if n_directions < MIN_DIRECTIONS:
-        raise ValueError(f"direction sweep needs at least {MIN_DIRECTIONS} points")
     system_layout = SpaceLayout.of("S")
     sz = Observable(system_layout, PAULI_Z / 2.0, name="S_z")
     k_sz = overlap(sz, prepare_system(1, 0), prepare_system(0, 1))
@@ -563,7 +546,6 @@ def channel_information(
     pure, mixture = matched_pair(a, "S")
     gamma, pre_k = _scan_extremum(
         lambda gammas: _overlaps(conjugate_spin_matrix(gammas), pure, mixture),
-        n_gamma,
         minimize=True,
         dim=2,
     )
@@ -571,18 +553,14 @@ def channel_information(
     pure_sd, mixed_sd = matched_pair(a, "SD")
     pure_d = partial_trace(pure_sd, [DETECTOR])
     mixed_d = partial_trace(mixed_sd, [DETECTOR])
-    post_k = 1.0
-    for start, size in _chunks(n_directions, _batch_rows(pure_d.layout.total_dim)):
-        # d0 P_z + d1 P_x + d2 P_y for each direction (d0, d1, d2)
-        directions = _sphere_rows(n_directions, start, size)
-        matrices = np.einsum("nk,kab->nab", directions, _POINTER_BASIS)
-        post_k = min(post_k, float(_overlaps(matrices, pure_d, mixed_d).min()))
+    # d0 P_z + d1 P_x + d2 P_y for each direction (d0, d1, d2)
+    directions = _sphere_rows(N_DIRECTIONS, 0, N_DIRECTIONS)
+    matrices = np.einsum("nk,kab->nab", directions, _POINTER_BASIS)
+    post_k = min(1.0, float(_overlaps(matrices, pure_d, mixed_d).min()))
 
     return ChannelInformationReport(
         k_sz_eigenstates=k_sz,
         pre_channel_gamma=float(gamma % (2.0 * math.pi)),
         pre_channel_k_min=float(pre_k),
-        post_channel_k_min=float(post_k),
-        n_gamma=n_gamma,
-        n_directions=n_directions,
+        post_channel_k_min=post_k,
     )

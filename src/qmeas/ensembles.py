@@ -165,11 +165,9 @@ def run_ensemble(a1: complex, a2: complex, n_events: int, seed: int = 0) -> Freq
     )
 
 
-def restrict_statistical(
-    state: StateVector | DensityMatrix, observer_label: str = OBSERVER
-) -> DensityMatrix:
-    """Statistical restriction: the partial trace onto the observer factor."""
-    return partial_trace(state, [observer_label])
+def restrict_statistical(state: StateVector | DensityMatrix) -> DensityMatrix:
+    """Statistical restriction: the partial trace onto the observer factor ``OBSERVER``."""
+    return partial_trace(state, [OBSERVER])
 
 
 def _branch_weights(state: StateVector) -> tuple[float, float]:
@@ -190,10 +188,8 @@ def _branch_weights(state: StateVector) -> tuple[float, float]:
     return p1, p2
 
 
-def restrict_stochastic(
-    source: Gemenge | StateVector, observer_label: str = OBSERVER
-) -> Gemenge:
-    """Stochastic restriction: the gemenge of observer branch states.
+def restrict_stochastic(source: Gemenge | StateVector) -> Gemenge:
+    """Stochastic restriction: the gemenge of observer branch states, on ``OBSERVER``.
 
     A pure chain state contributes its Born weights |a_i|^2; a gemenge of
     branch states contributes each member's probability to its branch.  The
@@ -201,10 +197,8 @@ def restrict_stochastic(
     and how often, which is exactly what a density matrix cannot express.
     """
     source_layout = source.layout
-    if observer_label not in source_layout.labels:
-        raise ValueError(
-            f"no factor labelled {observer_label!r} in layout {source_layout.labels}"
-        )
+    if OBSERVER not in source_layout.labels:
+        raise ValueError(f"no factor labelled {OBSERVER!r} in layout {source_layout.labels}")
     weights = [0.0, 0.0]
     if isinstance(source, Gemenge):
         for state, p in source.members:
@@ -218,7 +212,7 @@ def restrict_stochastic(
         p1, p2 = _branch_weights(source)
         weights = [p1, p2]
 
-    layout = SpaceLayout.of(observer_label)
+    layout = SpaceLayout.of(OBSERVER)
     members = tuple(
         (basis_state(layout, [branch]), weight)
         for branch, weight in enumerate(weights)

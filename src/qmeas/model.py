@@ -212,27 +212,13 @@ def interference_operator(
     return embed_operator(op, list(factors), layout)
 
 
-def zoo(
-    layout: SpaceLayout,
-    gamma: float = 0.0,
-    c1: complex = 1.0 + 0.0j,
-    direction: Sequence[float] = (1.0, 0.0, 0.0),
-) -> Mapping[str, Observable]:
+def zoo(layout: SpaceLayout, gamma: float = 0.0) -> Mapping[str, Observable]:
     """Read-only mapping of every named observable whose factors exist in ``layout``.
 
-    ``gamma`` fixes the conjugate spin component S_a, ``c1`` the interference
-    phases, ``direction`` the observer-algebra coefficients (d0, d1, d2) of
-    d0 V + d1 Vx + d2 Vy, which must be normalized.
+    ``gamma`` fixes the conjugate spin component S_a.  The interference
+    operators B and B_SD take the phase c1 = 1, and the observer-algebra
+    member A is d0 V + d1 V_x + d2 V_y at (d0, d1, d2) = (1, 0, 0), that is V.
     """
-    d = tuple(float(x) for x in direction)
-    if len(d) != 3:
-        raise ValueError("direction needs exactly three coefficients")
-    if not abs(d[0] ** 2 + d[1] ** 2 + d[2] ** 2 - 1.0) <= ATOL_PARAMETER:  # NaN fails too
-        raise ValueError("direction coefficients must satisfy sum d_i^2 = 1")
-    c1 = complex(c1)
-    if not abs(abs(c1) - 1.0) <= ATOL_PARAMETER:
-        raise ValueError("|c1| must equal 1")
-
     labels = set(layout.labels)
     members: dict[str, Observable] = {}
 
@@ -253,7 +239,7 @@ def zoo(
         put("V", PAULI_Z, OBSERVER)
         put("V_x", PAULI_X, OBSERVER)
         put("V_y", PAULI_Y, OBSERVER)
-        put("A", d[0] * PAULI_Z + d[1] * PAULI_X + d[2] * PAULI_Y, OBSERVER)
+        put("A", PAULI_Z, OBSERVER)
     if SYSTEM in labels and DETECTOR in labels:
         sz_q = Observable(
             SpaceLayout.of(SYSTEM, DETECTOR),
@@ -262,10 +248,10 @@ def zoo(
         )
         members["SzQ"] = embed_operator(sz_q, [SYSTEM, DETECTOR], layout)
         members["B_SD"] = interference_operator(
-            layout, c1, factors=(SYSTEM, DETECTOR)
+            layout, 1.0, factors=(SYSTEM, DETECTOR)
         )
     if labels.issuperset(CHAIN_LABELS):
-        members["B"] = interference_operator(layout, c1, factors=CHAIN_LABELS)
+        members["B"] = interference_operator(layout, 1.0, factors=CHAIN_LABELS)
 
     return MappingProxyType(members)
 

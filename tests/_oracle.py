@@ -33,9 +33,9 @@ from qmeas.discrimination import (
     DEGENERATE_AMPLITUDE,
     DISTINCTNESS_THRESHOLD,
     INDETERMINATE_PURITY,
-    MIN_DIRECTIONS,
     MIN_NOGO_SAMPLES,
-    MIN_PHASE_GRID,
+    N_DIRECTIONS,
+    PHASE_GRID,
     ChannelInformationReport,
     DiscriminationVerdict,
     ForcingCheck,
@@ -249,13 +249,11 @@ def _refine_extremum(f, lo, hi, minimize, iters=80):
     return x, f(x)
 
 
-def optimal_phase(rho_s, n_grid=MIN_PHASE_GRID):
-    if n_grid < MIN_PHASE_GRID:
-        raise ValueError(f"phase grid needs at least {MIN_PHASE_GRID} points")
-    grid = np.linspace(0.0, 2.0 * math.pi, n_grid, endpoint=False)
+def optimal_phase(rho_s):
+    grid = np.linspace(0.0, 2.0 * math.pi, PHASE_GRID, endpoint=False)
     values = [purity_rate(rho_s, g) for g in grid]
     best = int(np.argmax(values))
-    step = 2.0 * math.pi / n_grid
+    step = 2.0 * math.pi / PHASE_GRID
     gamma, purity = _refine_extremum(
         lambda g: purity_rate(rho_s, g), grid[best] - step, grid[best] + step,
         minimize=False,
@@ -283,9 +281,7 @@ def _chain_pair(a, scope):
     return pure, mixture
 
 
-def interference_phase_scan(a, scope="MS", n_grid=MIN_PHASE_GRID):
-    if n_grid < MIN_PHASE_GRID:
-        raise ValueError(f"phase grid needs at least {MIN_PHASE_GRID} points")
+def interference_phase_scan(a, scope="MS"):
     pure, mixture = _chain_pair(a, scope)
     factors = ("S", "D", "O") if scope == "MS" else ("S", "D")
 
@@ -293,21 +289,17 @@ def interference_phase_scan(a, scope="MS", n_grid=MIN_PHASE_GRID):
         op = interference_operator(pure.layout, np.exp(1j * phase), factors=factors)
         return k_value(op, pure, mixture)
 
-    grid = np.linspace(0.0, 2.0 * math.pi, n_grid, endpoint=False)
+    grid = np.linspace(0.0, 2.0 * math.pi, PHASE_GRID, endpoint=False)
     values = [k_of(p) for p in grid]
     best = int(np.argmin(values))
-    step = 2.0 * math.pi / n_grid
+    step = 2.0 * math.pi / PHASE_GRID
     phase, k_min = _refine_extremum(
         k_of, grid[best] - step, grid[best] + step, minimize=True
     )
     return float(phase % (2.0 * math.pi)), float(k_min)
 
 
-def channel_information(a, n_gamma=MIN_PHASE_GRID, n_directions=MIN_DIRECTIONS):
-    if n_gamma < MIN_PHASE_GRID:
-        raise ValueError(f"phase grid needs at least {MIN_PHASE_GRID} points")
-    if n_directions < MIN_DIRECTIONS:
-        raise ValueError(f"direction sweep needs at least {MIN_DIRECTIONS} points")
+def channel_information(a):
     a1, a2 = a
     system_layout = SpaceLayout.of("S")
     sz = Observable(system_layout, PAULI_Z / 2.0, name="S_z")
@@ -324,10 +316,10 @@ def channel_information(a, n_gamma=MIN_PHASE_GRID, n_directions=MIN_DIRECTIONS):
         op = Observable(system_layout, conjugate_spin_matrix(gamma), name="S_a")
         return k_value(op, pure, mixture)
 
-    grid = np.linspace(0.0, 2.0 * math.pi, n_gamma, endpoint=False)
+    grid = np.linspace(0.0, 2.0 * math.pi, PHASE_GRID, endpoint=False)
     values = [k_of_gamma(g) for g in grid]
     best = int(np.argmin(values))
-    step = 2.0 * math.pi / n_gamma
+    step = 2.0 * math.pi / PHASE_GRID
     gamma, pre_k = _refine_extremum(
         k_of_gamma, grid[best] - step, grid[best] + step, minimize=True
     )
@@ -337,7 +329,7 @@ def channel_information(a, n_gamma=MIN_PHASE_GRID, n_directions=MIN_DIRECTIONS):
     mixed_d = partial_trace(mixed_sd, [DETECTOR])
     detector_layout = SpaceLayout.of(DETECTOR)
     post_k = 1.0
-    for row in _sphere_rows(n_directions, 0, n_directions):
+    for row in _sphere_rows(N_DIRECTIONS, 0, N_DIRECTIONS):
         op = Observable(detector_layout, _pointer_algebra_matrix(row), name="Q(n)")
         post_k = min(post_k, k_value(op, pure_d, mixed_d))
 
@@ -346,8 +338,6 @@ def channel_information(a, n_gamma=MIN_PHASE_GRID, n_directions=MIN_DIRECTIONS):
         pre_channel_gamma=float(gamma % (2.0 * math.pi)),
         pre_channel_k_min=float(pre_k),
         post_channel_k_min=float(post_k),
-        n_gamma=n_gamma,
-        n_directions=n_directions,
     )
 
 

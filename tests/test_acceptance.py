@@ -10,6 +10,7 @@ import numpy as np
 
 from qmeas.cli import main
 from qmeas.discrimination import (
+    N_DIRECTIONS,
     channel_information,
     forcing_check,
     interference_phase_scan,
@@ -79,20 +80,20 @@ def test_criterion_1_conjugate_spin_overlap():
 
 
 def test_criterion_2_detector_side_blocking():
-    ok = True
+    ok = N_DIRECTIONS == 1000
     for a1, a2 in [(SQ2, SQ2), (0.6, 0.8)]:
         pure = measurement_chain_state(a1, a2, include_observer=False)
         mixed = chain_mixture(a1**2, a2**2, pure.layout)
         z = zoo(pure.layout)
         for name in ("Q", "Q_x", "Q_y"):
             ok = ok and abs(overlap(z[name], pure, mixed) - 1.0) <= 1e-9
-        sweep = channel_information((a1, a2), n_directions=1000)
+        sweep = channel_information((a1, a2))
         ok = ok and abs(sweep.post_channel_k_min - 1.0) <= 1e-9
     _verdict(2, "K(Q*) = 1 and the 1000-direction detector sweep floors at 1", ok)
 
 
 def test_criterion_3_interference_terms():
-    b = zoo(SDO, c1=1.0)["B"]
+    b = zoo(SDO)["B"]
     psi = measurement_chain_state(SQ2, SQ2)
     eigenvalue = is_eigenstate(b, psi, tol=1e-10)
     ok = eigenvalue is not None and abs(eigenvalue - 1.0) <= 1e-10

@@ -120,6 +120,78 @@ def test_repeated_config_key_exits_one(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _child_env():
+    """The environment of a child ``qmeas`` process on this checkout's sources."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+
+
+def test_config_file_past_the_size_cap_exits_one(tmp_path, capsys):
+    # a valid config padded with whitespace past the cap was read whole and ran
+    path = tmp_path / "config.json"
+    path.write_text('{"n_env": 3}' + " " * cli.MAX_CONFIG_CHARS)
+    rc, out, err = run_main(["simulate", "--events", "10", "--config", str(path)], capsys)
+    assert rc == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "longer than 1048576 characters" in err
+    assert "Traceback" not in err
+    # the same config padded to the cap itself is read
+    path.write_text('{"n_env": 3}'.ljust(cli.MAX_CONFIG_CHARS))
+    assert resolve(["simulate", "--config", str(path)])[0].n_env == 3
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_endless_config_file_exits_one():
+    # json.load read /dev/zero until memory ran out and ended in a MemoryError
+    # traceback; the child's address space is capped so a regression cannot
+    # exhaust the machine
+    pytest.importorskip("resource")
+    limit = 1_500_000_000
+    code = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+        "from qmeas.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code, "simulate", "--events", "10", "--config", "/dev/zero"],
+        capture_output=True, text=True, env=_child_env(), timeout=120,
+    )
+    assert child.returncode == 1
+    assert child.stdout == ""
+    assert child.stderr.count("\n") == 1 and "longer than" in child.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_config_file_from_a_pipe_is_read():
+    # the size cap reads a piped config through /dev/stdin as before
+    child = subprocess.run(
+        [sys.executable, "-m", "qmeas", "simulate", "--events", "10", "--config", "/dev/stdin"],
+        input='{"rng_seed": 4}', capture_output=True, text=True, env=_child_env(), timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout)["config"]["rng_seed"] == 4
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("command", ["simulate", "decohere"])
+def test_failed_stdout_write_exits_one_without_traceback(command):
+    # the OSError of sys.stdout.write ended in a traceback; with stdout
+    # buffered (PYTHONUNBUFFERED unset, the default) the rest of the report
+    # would also fail again at exit, as an "Exception ignored" line and exit 120
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    with open("/dev/full", "w") as full:
+        child = subprocess.run(
+            [sys.executable, "-m", "qmeas", command, "--events", "10"],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    assert child.returncode == 1
+    assert child.stderr.count("\n") == 1
+    assert child.stderr.startswith("qmeas: error: cannot write report to stdout: ")
+    assert "Traceback" not in child.stderr and "Exception" not in child.stderr
+
+
 def test_unknown_config_key_rejected(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"a1_real": 1.0}))
@@ -485,9 +557,8 @@ def test_import_loads_neither_dataclasses_nor_csv():
         "report = cli.empty_report(cli.ExperimentConfig(), 'nogo')\n"
         "print(cli.render_report(report, 'csv').splitlines()[:2])\n"
     )
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                           env=dict(os.environ, PYTHONPATH=path), check=True)
+                           env=_child_env(), check=True)
     loaded, rows = child.stdout.splitlines()
     assert loaded == "[]"
     assert rows == str(["name,value,tolerance,passed", "schema,qmeas-report/1,,"])

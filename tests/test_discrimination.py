@@ -215,11 +215,6 @@ def test_optimal_phase_matches_amplitude_product():
         assert result.purity == pytest.approx(2 * abs(v[0]) * abs(v[1]), abs=1e-9)
 
 
-def test_optimal_phase_rejects_small_grid():
-    with pytest.raises(ValueError, match="3600"):
-        optimal_phase(prepare_system(1, 0), n_grid=100)
-
-
 # ------------------------------------------------- eigenstate discrimination
 
 def eigen_triple(op, target, b1, b2):
@@ -374,7 +369,7 @@ def test_fibonacci_sphere_is_deterministic_and_unit():
 
 def test_interference_symmetric_chain_is_eigenstate():
     psi = measurement_chain_state(SQ2, SQ2)
-    b = zoo(SDO, c1=1.0)["B"]
+    b = zoo(SDO)["B"]
     assert is_eigenstate(b, psi, tol=1e-10) == pytest.approx(1.0, abs=1e-10)
 
     report = interference_analysis(1.0, (SQ2, SQ2), scope="MS")
@@ -435,13 +430,6 @@ def test_channel_information_asymmetric_case():
     report = channel_information((0.6, 0.8))
     assert report.pre_channel_k_min == pytest.approx(0.52, abs=1e-9)
     assert report.post_channel_k_min == pytest.approx(1.0, abs=1e-9)
-
-
-def test_channel_information_validates_sweep_sizes():
-    with pytest.raises(ValueError, match="3600"):
-        channel_information((1, 0), n_gamma=10)
-    with pytest.raises(ValueError, match="1000"):
-        channel_information((1, 0), n_directions=10)
 
 
 # ------------------------------------------------- purity under decoherence

@@ -304,8 +304,9 @@ def test_stochastic_restriction_rejects_non_branch_states():
 
 
 def test_stochastic_restriction_rejects_unknown_observer_label():
-    with pytest.raises(ValueError, match="no factor"):
-        restrict_stochastic(measurement_chain_state(1, 0), observer_label="X")
+    # the system-detector state after premeasurement has no observer factor
+    with pytest.raises(ValueError, match="no factor labelled 'O'"):
+        restrict_stochastic(measurement_chain_state(1, 0, include_observer=False))
 
 
 def test_restriction_consistency_between_maps():

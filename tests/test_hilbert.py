@@ -490,7 +490,7 @@ def _nan_inputs():
     from qmeas.discrimination import forcing_check, nogo_search
     from qmeas.ensembles import Gemenge
     from qmeas.hilbert import DensityMatrix, checked_hermitian
-    from qmeas.model import branch_state, interference_matrix, measurement_chain_state, zoo
+    from qmeas.model import branch_state, interference_matrix, measurement_chain_state
 
     nan = float("nan")
     psi = measurement_chain_state(0.6, 0.8)
@@ -502,8 +502,6 @@ def _nan_inputs():
         "checked_hermitian": lambda: checked_hermitian(np.array([[nan, 0], [0, 1]])),
         "gemenge": lambda: Gemenge(((ket(S, [1, 0]), nan),)),
         "interference_matrix": lambda: interference_matrix(nan, 3),
-        "zoo_direction": lambda: zoo(SDO, direction=(nan, 0, 0)),
-        "zoo_c1": lambda: zoo(SDO, c1=nan),
         "is_eigenstate_tol": lambda: is_eigenstate(Observable(S, Z), ket(S, [1, 0]), tol=nan),
         "forcing_check_tol": lambda: forcing_check(chain, tol=nan),
         "nogo_search_tol": lambda: nogo_search("O", chain, 10_000, tol=nan),

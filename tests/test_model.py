@@ -261,13 +261,13 @@ def test_zoo_gamma_zero_matches_sx():
 
 
 def test_zoo_trivial_direction_matches_v():
-    z = zoo(SDO, direction=(1.0, 0.0, 0.0))
+    z = zoo(SDO)
     assert np.allclose(z["A"].matrix, z["V"].matrix, atol=1e-15)
 
 
 def test_zoo_interference_expectation_on_symmetric_chain():
     psi = measurement_chain_state(SQ2, SQ2)
-    b = zoo(SDO, c1=1.0)["B"]
+    b = zoo(SDO)["B"]
     assert expectation(psi, b) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -276,13 +276,6 @@ def test_zoo_pointer_commutators():
     v, vx, vy = z["V"].matrix, z["V_x"].matrix, z["V_y"].matrix
     assert np.allclose(v @ vx - vx @ v, 2j * vy, atol=1e-12)
     assert np.allclose(v @ vy - vy @ v, -2j * vx, atol=1e-12)
-
-
-def test_zoo_rejects_bad_parameters():
-    with pytest.raises(ValueError, match="d_i"):
-        zoo(SDO, direction=(1.0, 1.0, 0.0))
-    with pytest.raises(ValueError, match="c1"):
-        zoo(SDO, c1=2.0)
 
 
 def test_zoo_membership_follows_layout():

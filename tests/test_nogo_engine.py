@@ -18,6 +18,7 @@ import _oracle
 from qmeas import discrimination
 from qmeas.discrimination import (
     _apply,
+    _batch_rows,
     _eigen_residuals,
     _forcing_draws,
     _pointer_directions,
@@ -31,6 +32,7 @@ from qmeas.model import (
     PAULI_X,
     PAULI_Z,
     branch_state,
+    decohere,
     measurement_chain_state,
     ms_layout,
     prepare_system,
@@ -43,7 +45,7 @@ STATES = (measurement_chain_state(0.6, 0.8j), branch_state(1, SDO), branch_state
 # grid/random split would draw different candidates
 N = 10_013
 FLOAT_TOL = 64 * np.finfo(float).eps
-# O and D batch rows at dim 8, _CHUNK * dim // 3: their (rows, 3, dim)
+# O and D batch rows at dim 8, _batch_rows(3 * dim): their (rows, 3, dim)
 # products hold as many entries as the (64, dim, dim) matrices of an MS batch
 OD_ROWS = 170
 # psi's residual under d0 P_z + d1 P_x + d2 P_y on O is sqrt(1 - (0.28 d0)^2),
@@ -94,8 +96,32 @@ def test_forcing_check_matches_per_sample_loop(n_samples):
     assert_same_verdict(got, want)
 
 
+def test_one_batch_rule_sizes_every_batched_loop():
+    # about 4096 entries a batch; at dim 8, the size of every bench no-go run,
+    # 64 MS and forcing matrices and 170 O/D (3, dim) products, and 1024
+    # phases of the 2 x 2 scans
+    assert _batch_rows(8 * 8) == 64
+    assert _batch_rows(3 * 8) == OD_ROWS == 170
+    assert _batch_rows(2 * 2) == 1024
+    # a dim 128 row holds more than 4096 entries; a batch still has one row
+    assert _batch_rows(128 * 128) == 1 and _batch_rows(3 * 128) >= 1
+
+
+@pytest.mark.parametrize("tol", [1e-9, 0.2, 0.7])
+def test_decohered_chain_matches_the_per_candidate_loop(tol):
+    # one environment qubit: dim 16, where an MS or forcing batch holds 16
+    # rows instead of the 64 at dim 8; the last batch of each is partial
+    psi = decohere(measurement_chain_state(0.6, 0.8j), 1, 0.5)
+    states = (psi, branch_state(1, psi.layout, 0.5), branch_state(2, psi.layout, 0.5))
+    assert _batch_rows(psi.layout.total_dim ** 2) == 16
+    got = nogo_search("MS", states, N, tol=tol, seed=3)
+    assert_same_verdict(got, _oracle.nogo_search("MS", states, N, tol=tol, seed=3))
+    got = forcing_check(states, n_samples=333, seed=5, tol=tol)
+    assert_same_verdict(got, _oracle.forcing_check(states, n_samples=333, seed=5, tol=tol))
+
+
 def test_grid_batches_equal_the_whole_sphere_bit_for_bit():
-    # each batch computes its own rows, so memory does not grow with n_grid
+    # each batch computes its own rows, so memory does not grow with n_sphere
     n = 5001  # 29 full batches and a partial one
     got = np.concatenate(list(_pointer_directions(n, 0, None, OD_ROWS)))
     assert np.array_equal(got, _sphere_rows(n, 0, n))
@@ -105,11 +131,12 @@ def test_batched_draws_equal_sequential_draws():
     # 400 random directions span three O/D batches and 150 random matrices
     # three MS batches, the last one partial in both
     dim = SDO.total_dim
-    n_grid, n_directions, n_random = 70, 400, 150
+    n_sphere, n_directions, n_random = 70, 400, 150
     sequential = np.random.default_rng(3)
     rows = [sequential.normal(size=3) for _ in range(n_directions)]
-    want = np.concatenate([_sphere_rows(n_grid, 0, n_grid), [r / np.linalg.norm(r) for r in rows]])
-    batches = list(_pointer_directions(n_grid, n_directions, np.random.default_rng(3), OD_ROWS))
+    want = np.concatenate([_sphere_rows(n_sphere, 0, n_sphere),
+                           [r / np.linalg.norm(r) for r in rows]])
+    batches = list(_pointer_directions(n_sphere, n_directions, np.random.default_rng(3), OD_ROWS))
     assert [len(b) for b in batches] == [70, OD_ROWS, OD_ROWS, 60]
     np.testing.assert_allclose(np.concatenate(batches), want, rtol=FLOAT_TOL, atol=FLOAT_TOL)
 
@@ -192,9 +219,9 @@ def test_verdicts_do_not_depend_on_the_batch_rows(monkeypatch, tol):
     rows_asked = []
     pointer_directions = discrimination._pointer_directions
 
-    def at_64_rows(n_grid, n_random, rng, rows):
+    def at_64_rows(n_sphere, n_random, rng, rows):
         rows_asked.append(rows)
-        return pointer_directions(n_grid, n_random, rng, 64)
+        return pointer_directions(n_sphere, n_random, rng, 64)
 
     monkeypatch.setattr(discrimination, "_pointer_directions", at_64_rows)
     monkeypatch.setattr(discrimination, "_apply", _stacked_apply)

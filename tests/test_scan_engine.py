@@ -13,7 +13,7 @@ import pytest
 import _oracle
 from _helpers import random_density, random_hermitian, random_pure
 from qmeas.discrimination import (
-    MIN_PHASE_GRID,
+    PHASE_GRID,
     _batch_rows,
     _overlaps,
     _scan_extremum,
@@ -77,14 +77,14 @@ def test_grid_tie_at_zero_and_pi_picks_zero():
     # exactly, and the scan must refine around the first, as the loop does
     a = (0.6, 0.8)
     pure, mixture = _oracle._chain_pair(a, "MS")
-    grid = np.linspace(0.0, 2.0 * math.pi, MIN_PHASE_GRID, endpoint=False)
+    grid = np.linspace(0.0, 2.0 * math.pi, PHASE_GRID, endpoint=False)
     k_at_zero, k_at_pi = (
         overlap(interference_operator(pure.layout, np.exp(1j * p)), pure, mixture)
-        for p in (grid[0], grid[MIN_PHASE_GRID // 2])
+        for p in (grid[0], grid[PHASE_GRID // 2])
     )
     assert k_at_zero == k_at_pi
     phase, k_min = interference_phase_scan(a, "MS")
-    assert min(phase, 2.0 * math.pi - phase) < 2.0 * math.pi / MIN_PHASE_GRID
+    assert min(phase, 2.0 * math.pi - phase) < 2.0 * math.pi / PHASE_GRID
     assert (phase, k_min) == _oracle.interference_phase_scan(a, "MS")
 
 
@@ -98,18 +98,11 @@ def test_scan_extremum_finds_a_second_half_value_below_its_mirrored_copy():
         seen.append(phases.copy())
         return -np.abs(np.cos(phases)) - 1e-15 * (phases > 3.0)
 
-    phase, value = _scan_extremum(objective, MIN_PHASE_GRID, minimize=True, dim=2)
-    half_batches = -(-(MIN_PHASE_GRID // 2) // _batch_rows(2))
+    phase, value = _scan_extremum(objective, minimize=True, dim=2)
+    half_batches = -(-(PHASE_GRID // 2) // _batch_rows(4))
     assert np.array_equal(seen[half_batches], [0.0, math.pi])
-    assert abs(phase - math.pi) < 2.0 * math.pi / MIN_PHASE_GRID
+    assert abs(phase - math.pi) < 2.0 * math.pi / PHASE_GRID
     assert value == objective(np.array([phase]))[0]
-
-
-def test_scan_extremum_rejects_small_grid():
-    with pytest.raises(ValueError, match="at least"):
-        _scan_extremum(np.cos, 100, minimize=True, dim=2)
-    with pytest.raises(ValueError, match="even"):
-        _scan_extremum(np.cos, MIN_PHASE_GRID + 1, minimize=True, dim=2)
 
 
 # ------------------------------------------------------------ overlap kernel

@@ -9,12 +9,11 @@ values onto the second half (G(p + pi) = -G(p) for every scanned family);
 the near set of the copied extremum is scored again at its own phases and
 the refinement scores each pair of inner points in one call, so the
 reports equal the per-point loops of ``_oracle``.  The direction sweep of
-``channel_information`` runs in batches, so its memory does not grow with
-``n_directions``.
+``channel_information`` is one stacked call over its ``N_DIRECTIONS``
+directions.
 """
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,8 +22,8 @@ import _oracle
 from _helpers import random_amplitude_pair, random_density, random_hermitian, random_pure
 from qmeas.discrimination import (
     _POINTER_BASIS,
-    MIN_DIRECTIONS,
-    MIN_PHASE_GRID,
+    N_DIRECTIONS,
+    PHASE_GRID,
     _batch_rows,
     _overlaps,
     _scan_extremum,
@@ -46,7 +45,7 @@ from qmeas.hilbert import (
 )
 from qmeas.model import PAULI_Z, conjugate_spin_matrix, interference_matrix, prepare_system
 
-GRID = np.linspace(0.0, 2.0 * math.pi, MIN_PHASE_GRID, endpoint=False)
+GRID = np.linspace(0.0, 2.0 * math.pi, PHASE_GRID, endpoint=False)
 # seeded random complex amplitude pairs beyond the fixed ones of test_scan_engine
 RANDOM_PAIRS = [random_amplitude_pair(np.random.default_rng(seed)) for seed in (31, 47)]
 
@@ -175,21 +174,20 @@ def test_overlaps_rows_equal_overlap_on_the_chain_pair(scope):
 # ------------------------------------------------------------ mirrored half grid
 
 @pytest.mark.parametrize("dim", [2, 8])
-@pytest.mark.parametrize("n_grid", [MIN_PHASE_GRID, 4000, 4098])
-def test_scan_extremum_evaluates_the_first_half_then_the_near_set(n_grid, dim):
+def test_scan_extremum_evaluates_the_first_half_then_the_near_set(dim):
     seen = []
 
     def objective(phases):
         seen.append(phases.copy())
         return np.cos(2.0 * phases)
 
-    _scan_extremum(objective, n_grid, minimize=True, dim=dim)
-    grid = np.linspace(0.0, 2.0 * math.pi, n_grid, endpoint=False)
-    rows = _batch_rows(dim)
-    half_batches = -(-(n_grid // 2) // rows)
-    assert np.array_equal(np.concatenate(seen[:half_batches]), grid[: n_grid // 2])
+    _scan_extremum(objective, minimize=True, dim=dim)
+    assert PHASE_GRID % 2 == 0  # the second half copies the first
+    rows = _batch_rows(dim * dim)
+    half_batches = -(-(PHASE_GRID // 2) // rows)
+    assert np.array_equal(np.concatenate(seen[:half_batches]), GRID[: PHASE_GRID // 2])
     assert max(len(phases) for phases in seen) <= rows
-    assert set(seen[half_batches]) <= set(grid)
+    assert set(seen[half_batches]) <= set(GRID)
     # the refinement scores its pair of inner points in one call, then the midpoint
     assert [len(phases) for phases in seen[half_batches + 1:]] == [2] * 80 + [1]
 
@@ -197,7 +195,7 @@ def test_scan_extremum_evaluates_the_first_half_then_the_near_set(n_grid, dim):
 def test_scan_extremum_picks_p_on_exact_ties_at_p_and_p_plus_pi():
     # four exact ties, a quarter turn apart: the later two are copies of the
     # first two, the near set holds all four, and the first grid point wins
-    n = MIN_PHASE_GRID
+    n = PHASE_GRID
     ties = GRID[[0, n // 4, n // 2, 3 * n // 4]]
     seen = []
 
@@ -205,24 +203,10 @@ def test_scan_extremum_picks_p_on_exact_ties_at_p_and_p_plus_pi():
         seen.append(phases.copy())
         return np.min((phases[:, None] - ties[None, :]) ** 2, axis=1)
 
-    phase, value = _scan_extremum(objective, n, minimize=True, dim=2)
-    assert np.array_equal(seen[-(-(n // 2) // _batch_rows(2))], ties)
+    phase, value = _scan_extremum(objective, minimize=True, dim=2)
+    assert np.array_equal(seen[-(-(n // 2) // _batch_rows(4))], ties)
     assert abs(phase) < 2.0 * math.pi / n
     assert value == objective(np.array([phase]))[0]
-
-
-_SCANS = {
-    "optimal_phase": lambda n: optimal_phase(prepare_system(0.6, 0.8), n),
-    "interference_MS": lambda n: interference_phase_scan((0.6, 0.8), "MS", n),
-    "interference_SD": lambda n: interference_phase_scan((0.6, 0.8), "SD", n),
-    "channel_information": lambda n: channel_information((0.6, 0.8), n_gamma=n),
-}
-
-
-@pytest.mark.parametrize("name", sorted(_SCANS))
-def test_odd_phase_grid_is_rejected(name):
-    with pytest.raises(ValueError, match="even"):
-        _SCANS[name](MIN_PHASE_GRID + 1)
 
 
 @pytest.mark.parametrize("index", range(len(RANDOM_PAIRS)))
@@ -237,25 +221,11 @@ def test_scans_equal_oracle_on_random_complex_pairs(index):
 
 # ------------------------------------------------------------ direction sweep
 
-@pytest.mark.parametrize("n_directions", [MIN_DIRECTIONS, 4099, 200_000])
-def test_direction_sweep_equals_the_whole_array_minimum(n_directions):
+def test_direction_sweep_equals_the_whole_array_minimum():
     a = (0.28, 0.96j)
     pure_sd, mixed_sd = matched_pair(a, "SD")
     pure_d, mixed_d = (partial_trace(s, ["D"]) for s in (pure_sd, mixed_sd))
-    directions = _sphere_rows(n_directions, 0, n_directions)
+    directions = _sphere_rows(N_DIRECTIONS, 0, N_DIRECTIONS)
     matrices = np.einsum("nk,kab->nab", directions, _POINTER_BASIS)
     whole = min(1.0, float(_overlaps(matrices, pure_d, mixed_d).min()))
-    report = channel_information(a, n_directions=n_directions)
-    assert report.post_channel_k_min == whole
-
-
-def test_direction_sweep_memory_is_bounded():
-    # one stacked call over 200k directions peaks at about 63 MB
-    tracemalloc.start()
-    try:
-        report = channel_information((0.6, 0.8), n_directions=200_000)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert report.n_directions == 200_000
-    assert peak < 4 * 2**20
+    assert channel_information(a).post_channel_k_min == whole
