@@ -135,7 +135,11 @@ def test_config_file_past_the_size_cap_exits_one(tmp_path, capsys):
     assert out == ""
     assert err.count("\n") == 1 and "longer than 1048576 characters" in err
     assert "Traceback" not in err
-    # the same config padded to the cap itself is read
+
+
+def test_config_file_at_the_size_cap_is_read(tmp_path):
+    # the cap bounds the read; a config padded to the cap itself still runs
+    path = tmp_path / "config.json"
     path.write_text('{"n_env": 3}'.ljust(cli.MAX_CONFIG_CHARS))
     assert resolve(["simulate", "--config", str(path)])[0].n_env == 3
 

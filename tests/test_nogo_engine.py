@@ -107,6 +107,15 @@ def test_one_batch_rule_sizes_every_batched_loop():
     assert _batch_rows(128 * 128) == 1 and _batch_rows(3 * 128) >= 1
 
 
+@pytest.mark.parametrize("row_entries", [1, 4, 24, 64, 4095, 4096, 4097, 128 * 128])
+def test_batch_rows_holds_at_most_4096_entries_and_at_least_one_row(row_entries):
+    rows = _batch_rows(row_entries)
+    assert rows >= 1
+    # the batch is the largest that fits, or one row when a row alone overflows
+    assert rows * row_entries <= 4096 or rows == 1
+    assert (rows + 1) * row_entries > 4096
+
+
 @pytest.mark.parametrize("tol", [1e-9, 0.2, 0.7])
 def test_decohered_chain_matches_the_per_candidate_loop(tol):
     # one environment qubit: dim 16, where an MS or forcing batch holds 16

@@ -20,6 +20,7 @@ import pytest
 
 import _oracle
 from _helpers import random_amplitude_pair, random_density, random_hermitian, random_pure
+from qmeas import discrimination
 from qmeas.discrimination import (
     _POINTER_BASIS,
     N_DIRECTIONS,
@@ -45,6 +46,7 @@ from qmeas.hilbert import (
 )
 from qmeas.model import PAULI_Z, conjugate_spin_matrix, interference_matrix, prepare_system
 
+SQ2 = 1.0 / math.sqrt(2.0)
 GRID = np.linspace(0.0, 2.0 * math.pi, PHASE_GRID, endpoint=False)
 # seeded random complex amplitude pairs beyond the fixed ones of test_scan_engine
 RANDOM_PAIRS = [random_amplitude_pair(np.random.default_rng(seed)) for seed in (31, 47)]
@@ -209,6 +211,36 @@ def test_scan_extremum_picks_p_on_exact_ties_at_p_and_p_plus_pi():
     assert value == objective(np.array([phase]))[0]
 
 
+_SCANS = {
+    "optimal_phase": lambda: optimal_phase(prepare_system(0.6, 0.8)),
+    "interference_MS": lambda: interference_phase_scan((0.6, 0.8), "MS"),
+    "interference_SD": lambda: interference_phase_scan((0.6, 0.8), "SD"),
+    "channel_information": lambda: channel_information((0.6, 0.8)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SCANS))
+def test_every_scan_runs_on_the_fixed_even_grid(name, monkeypatch):
+    # each public scan goes through _scan_extremum, whose objective sees the
+    # first half of the PHASE_GRID grid in batches, then the near set
+    seen, dims = [], []
+
+    def recording(objective, minimize, dim):
+        def wrapped(phases):
+            seen.append(phases.copy())
+            return objective(phases)
+
+        dims.append(dim)
+        return _scan_extremum(wrapped, minimize=minimize, dim=dim)
+
+    monkeypatch.setattr(discrimination, "_scan_extremum", recording)
+    _SCANS[name]()
+    assert PHASE_GRID % 2 == 0 and len(dims) == 1
+    half_batches = -(-(PHASE_GRID // 2) // _batch_rows(dims[0] ** 2))
+    assert np.array_equal(np.concatenate(seen[:half_batches]), GRID[: PHASE_GRID // 2])
+    assert set(seen[half_batches]) <= set(GRID)
+
+
 @pytest.mark.parametrize("index", range(len(RANDOM_PAIRS)))
 def test_scans_equal_oracle_on_random_complex_pairs(index):
     a = RANDOM_PAIRS[index]
@@ -221,8 +253,10 @@ def test_scans_equal_oracle_on_random_complex_pairs(index):
 
 # ------------------------------------------------------------ direction sweep
 
-def test_direction_sweep_equals_the_whole_array_minimum():
-    a = (0.28, 0.96j)
+@pytest.mark.parametrize(
+    "a", [(0.28, 0.96j), (0.6, 0.8), (1.0, 0.0), (SQ2, -SQ2)], ids=str
+)
+def test_direction_sweep_equals_the_whole_array_minimum(a):
     pure_sd, mixed_sd = matched_pair(a, "SD")
     pure_d, mixed_d = (partial_trace(s, ["D"]) for s in (pure_sd, mixed_sd))
     directions = _sphere_rows(N_DIRECTIONS, 0, N_DIRECTIONS)
