@@ -211,6 +211,14 @@ def resolve_config(args: argparse.Namespace) -> tuple[ExperimentConfig, list[str
         raise ConfigError("env_overlap must lie in [0, 1]")
     if config.output_format not in ("json", "csv"):
         raise ConfigError("output_format must be 'json' or 'csv'")
+    sections = {section for section, _ in _SECTIONS[args.command]}
+    if "nogo" in sections and config.n_events < MIN_NOGO_SAMPLES:
+        raise ConfigError(
+            f"the no-go search needs at least {MIN_NOGO_SAMPLES} samples; "
+            f"got n_events={config.n_events}"
+        )
+    if "decoherence" in sections and config.n_env < 1:
+        raise ConfigError("decoherence analysis needs n_env >= 1")
     return config, warnings
 
 
@@ -414,11 +422,6 @@ def _verdict_dict(verdict, forcing: dict | None) -> dict:
 
 
 def _nogo_section(config: ExperimentConfig, warn, _channel) -> dict:
-    if config.n_events < MIN_NOGO_SAMPLES:
-        raise ConfigError(
-            f"the no-go search needs at least {MIN_NOGO_SAMPLES} samples; "
-            f"got n_events={config.n_events}"
-        )
     layout = ms_layout()
     states = (
         measurement_chain_state(config.a1, config.a2),
@@ -431,7 +434,7 @@ def _nogo_section(config: ExperimentConfig, warn, _channel) -> dict:
     }
     forcing = None
     if all(verdict.out_of_regime for verdict in verdicts.values()):
-        warn("a1*a2 = 0: out of the no-go regime, scans are skipped")
+        warn(f"|a1 a2| <= {DEGENERATE_AMPLITUDE:g}: out of the no-go regime, scans are skipped")
     else:
         # the forcing identity depends on the states alone: one check serves every scope
         forcing = _forcing_dict(forcing_check(states, seed=config.rng_seed + 1))
@@ -440,35 +443,28 @@ def _nogo_section(config: ExperimentConfig, warn, _channel) -> dict:
 
 
 def _decoherence_section(config: ExperimentConfig, *_) -> dict:
-    if config.n_env < 1:
-        raise ConfigError("decoherence analysis needs n_env >= 1")
-    a1, a2 = config.a1, config.a2
     predicted = config.env_overlap**config.n_env
-    psi = measurement_chain_state(a1, a2)
-    tagged = decohere(psi, config.n_env, config.env_overlap)
-    reduced = partial_trace(tagged, ["S", "D", "O"])
-    if abs(a1 * a2) > DEGENERATE_AMPLITUDE:
-        factor = reduced.matrix[0, 7] / (a1 * np.conj(a2))
+    chains = [measurement_chain_state(*a) for a in ((config.a1, config.a2), (1, 0), (0, 1))]
+    reduced, *branches = (
+        partial_trace(decohere(chain, config.n_env, config.env_overlap), ["S", "D", "O"])
+        for chain in chains
+    )
+    coherence = coherence_imag = None
+    # <b1|psi><b2|psi> of the chain state, the product nogo_search tests
+    psi = chains[0].amplitudes
+    if abs(complex(psi[0]) * complex(psi[-1])) > DEGENERATE_AMPLITUDE:
+        factor = reduced.matrix[0, 7] / (config.a1 * np.conj(config.a2))
         coherence = metric(factor.real, target=predicted, tolerance=1e-10)
         coherence_imag = metric(factor.imag, target=0.0, tolerance=1e-10)
-    else:
-        coherence = None
-        coherence_imag = None
-
-    purities = []
-    for amplitudes in ((1, 0), (0, 1)):
-        branch_chain = measurement_chain_state(*amplitudes)
-        branch_tagged = decohere(branch_chain, config.n_env, config.env_overlap)
-        branch_reduced = partial_trace(branch_tagged, ["S", "D", "O"])
-        purities.append(metric(branch_reduced.purity(), target=1.0, tolerance=1e-10))
-
     return {
         "n_env": config.n_env,
         "env_overlap": config.env_overlap,
         "predicted_factor": predicted,
         "coherence_factor": coherence,
         "coherence_factor_imag": coherence_imag,
-        "branch_purities": purities,
+        "branch_purities": [
+            metric(branch.purity(), target=1.0, tolerance=1e-10) for branch in branches
+        ],
     }
 
 

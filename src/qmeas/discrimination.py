@@ -22,16 +22,15 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .hilbert import (
-    ATOL_IMAG,
     DEFAULT_EIGENSTATE_TOL,
     DensityMatrix,
-    InvariantViolation,
     Observable,
     SpaceLayout,
     State,
     StateVector,
     born,
     checked_hermitian,
+    eigen_residuals,
     expectation,
     grouped_spectra,
     outcome_weights,
@@ -209,22 +208,6 @@ def _apply(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return np.matmul(matrices[:, None], vectors[None, :, :, None])[..., 0]
 
 
-def _eigen_residuals(products: np.ndarray, vectors: np.ndarray, tol: float):
-    """Batched ``is_eigenstate`` over products[n, s] = G_n v_s.
-
-    Returns lam[n, s] = <v_s|G_n v_s> and the mask of the candidates n under
-    which every v_s passes ||G_n v_s - lam v_s|| <= tol.
-    """
-    lam = np.einsum("si,nsi->ns", vectors.conj(), products)
-    if np.max(np.abs(lam.imag)) > ATOL_IMAG:
-        raise InvariantViolation("expectation of Hermitian operator is not real")
-    lam = lam.real
-    deviation = products - lam[..., None] * vectors
-    # np.linalg.norm(deviation, axis=-1), without its per-call dispatch
-    residual = np.sqrt(np.add.reduce((deviation.conj() * deviation).real, axis=-1))
-    return lam, np.all(residual <= tol, axis=1)
-
-
 class ForcingCheck(NamedTuple):
     """Numerical record of the identity that forces equal eigenvalues.
 
@@ -355,7 +338,7 @@ def forcing_check(
         forced = (a1 * g1)[:, None] * b1.amplitudes + (a2 * g2)[:, None] * b2.amplitudes
         residual = np.linalg.norm(products[:, 0] - forced, axis=1)
         max_residual = max(max_residual, float(residual.max()))
-        passed = _eigen_residuals(products, target, tol)[1]
+        passed = eigen_residuals(products, target, tol)[1]
         if passed.any():
             gap = np.abs(g1 - g2)[passed] * abs(a1) * abs(a2)
             max_gap = max(max_gap, float(gap.max()))
@@ -446,7 +429,7 @@ def nogo_search(
     witness = None
     max_min_gap = 0.0
     for products, label in candidate_chunks():
-        lam, passed = _eigen_residuals(products, vectors, tol)
+        lam, passed = eigen_residuals(products, vectors, tol)
         if not passed.any():  # every gap is 0: nothing to record
             n_tested += len(products)
             continue

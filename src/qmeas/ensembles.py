@@ -2,13 +2,13 @@
 
 A gemenge is a probabilistic mixture with an objective decomposition into
 individual states; unlike a density matrix it remembers which states occur.
-Sampling uses counter-based per-event streams derived from a single 64-bit
-seed, so every event is reproducible and independent of every other:
-identical (seed, event_index) always yields the identical uniform, and
-``run_ensemble`` may draw the events in any blocks and aggregate them in any
-order.  ``run_ensemble`` never forms the uniforms: u_k = (z_k >> 11) 2^-53
-is below p1 exactly when the key z_k is below ceil(p1 2^53) << 11, an
-integer test with no rounding.
+Sampling uses counter-based per-event keys derived from a single 64-bit
+seed, so every event is reproducible and independent of every other: event
+k's key z_k is a splitmix64 finalizer of (seed, k), and ``run_ensemble`` may
+draw the events in any blocks and aggregate them in any order.  Event k
+reads O1 when its uniform u_k = (z_k >> 11) 2^-53 is below p1, that is when
+z_k is below ceil(p1 2^53) << 11, an integer test with no rounding;
+``run_ensemble`` never forms the uniforms.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ ATOL_BRANCH_SUPPORT = 1e-9
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-_INV_TWO53 = 1.0 / float(2**53)
 # events per block: run_ensemble reuses one key and one scratch buffer of this
 # size, which stay in cache, so memory does not grow with the event count
 _BLOCK = 1 << 15
@@ -49,22 +48,6 @@ def _splitmix64(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         if mix is not None:
             np.multiply(z, mix, out=z)
     return z
-
-
-def stream_keys(seed: int, start: int, count: int) -> np.ndarray:
-    """64-bit stream key per event counter: a splitmix64 finalizer of (seed, index)."""
-    if count < 0 or start < 0:
-        raise ValueError("start and count must be nonnegative")
-    z = np.arange(start, start + count, dtype=np.uint64)
-    z += np.uint64(1)
-    z *= _GOLDEN
-    z += np.uint64(seed % 2**64)
-    return _splitmix64(z, np.empty_like(z))
-
-
-def stream_uniform(seed: int, start: int, count: int) -> np.ndarray:
-    """Deterministic uniforms in [0, 1), one per event counter."""
-    return (stream_keys(seed, start, count) >> np.uint64(11)).astype(np.float64) * _INV_TWO53
 
 
 class Gemenge(Immutable):

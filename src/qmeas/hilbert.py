@@ -9,7 +9,9 @@ simplicity.
 
 ``grouped_spectra`` is the one spectral decomposition: ``Observable.spectrum``
 is its one-row call, and the overlap kernel of :mod:`qmeas.discrimination`
-runs it on whole stacks.
+runs it on whole stacks.  ``eigen_residuals`` is the one eigenstate test in
+the same way: ``is_eigenstate`` is its one-row call, and the no-go engine
+runs it on whole batches of candidates.
 
 All operations are pure functions on immutable values (arrays are frozen at
 construction), so they are safe to call from concurrent contexts.
@@ -368,21 +370,37 @@ def expectation(state: State, op: Observable) -> float:
     return float(born(op.matrix, state))
 
 
+def eigen_residuals(products: np.ndarray, vectors: np.ndarray, tol: float):
+    """The eigenstate test of each v_s under each G_n, given products[n, s] = G_n v_s.
+
+    Returns lam[n, s] = <v_s|G_n v_s> and the mask of the candidates n under
+    which every v_s passes ||G_n v_s - lam v_s|| <= tol.  ``tol`` is the
+    caller's to check: the no-go engine calls this once per batch.
+    """
+    lam = np.einsum("si,nsi->ns", vectors.conj(), products)
+    if not np.max(np.abs(lam.imag)) <= ATOL_IMAG:  # NaN fails too
+        raise InvariantViolation("expectation of Hermitian operator is not real")
+    lam = lam.real
+    deviation = products - lam[..., None] * vectors
+    # np.linalg.norm(deviation, axis=-1), without its per-call dispatch
+    residual = np.sqrt(np.add.reduce((deviation.conj() * deviation).real, axis=-1))
+    return lam, np.all(residual <= tol, axis=1)
+
+
 def is_eigenstate(
     op: Observable, state: StateVector, tol: float = DEFAULT_EIGENSTATE_TOL
 ) -> float | None:
     """Eigenvalue of ``state`` under ``op`` if the residual is within ``tol``.
 
-    Returns ``lam = <psi|G|psi>`` when ``||G psi - lam psi|| <= tol``, else None.
+    Returns ``lam = <psi|G|psi>`` when ``||G psi - lam psi|| <= tol``, else
+    None: the one-row call of ``eigen_residuals``.
     """
     if not tol > 0:  # NaN fails too
         raise ValueError("tol must be positive")
     require_same_layout(state, op)
-    lam = expectation(state, op)
-    residual = float(
-        np.linalg.norm(op.matrix @ state.amplitudes - lam * state.amplitudes)
-    )
-    return lam if residual <= tol else None
+    vectors = state.amplitudes[None]
+    lam, passed = eigen_residuals((op.matrix @ state.amplitudes)[None, None], vectors, tol)
+    return float(lam[0, 0]) if passed[0] else None
 
 
 def outcome_weights(state: State, projectors) -> np.ndarray:

@@ -2,8 +2,11 @@
 
 The no-go search and forcing check build one validated ``Observable`` per
 candidate, embedded into the full layout and tested with the scalar
-``is_eigenstate``: the straightforward loop that the batched engine in
-``qmeas.discrimination`` must reproduce draw for draw.
+``is_eigenstate`` below: the straightforward loop that the batched engine in
+``qmeas.discrimination`` must reproduce draw for draw.  The package runs
+every eigenstate test, ``qmeas.hilbert.is_eigenstate`` included, through the
+stacked ``eigen_residuals``, so this scalar form (an ``np.vdot`` eigenvalue,
+an ``np.linalg.norm`` residual) is its independent reference.
 
 The phase scans (``optimal_phase``, ``interference_phase_scan``,
 ``channel_information``) evaluate the scalar ``purity_rate`` or ``k_value``
@@ -20,9 +23,9 @@ stacked kernels they check.
 ``stream_keys`` below and maps them to members with ``searchsorted``: the
 whole-array sampler that the streamed block sampler in ``qmeas.ensembles``
 must reproduce count for count, sharing none of its sampling code.
-
 ``stream_keys`` is the splitmix64 key expression written one array per
-step: the keys the in-place version in ``qmeas.ensembles`` must reproduce.
+step, and ``uniforms`` the per-event uniforms; the package has no key or
+uniform function of its own, only the integer test inside ``run_ensemble``.
 """
 
 import math
@@ -55,7 +58,6 @@ from qmeas.hilbert import (
     SpaceLayout,
     StateVector,
     embed_operator,
-    is_eigenstate,
     partial_trace,
 )
 from qmeas.model import (
@@ -85,6 +87,12 @@ def _born(state, matrix):
 def purity_rate(rho_s, gamma):
     op = Observable(rho_s.layout, conjugate_spin_matrix(gamma), name="S_a")
     return 2.0 * abs(_born(rho_s, op.matrix))
+
+
+def is_eigenstate(op, state, tol=DEFAULT_EIGENSTATE_TOL):
+    lam = _born(state, op.matrix)
+    residual = float(np.linalg.norm(op.matrix @ state.amplitudes - lam * state.amplitudes))
+    return lam if residual <= tol else None
 
 
 def k_value(op, state1, state2):
@@ -346,8 +354,7 @@ def run_ensemble(a1, a2, n_events, seed=0):
         raise ValueError("n_events must be >= 1")
     gemenge = collapse_gemenge(a1, a2)
     cumulative = np.cumsum(gemenge.probabilities)
-    uniforms = (stream_keys(seed, 0, n_events) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    members = np.searchsorted(cumulative, uniforms, side="right")
+    members = np.searchsorted(cumulative, uniforms(seed, 0, n_events), side="right")
     n1 = int(np.count_nonzero(members == 0))
     n2 = n_events - n1
     p1, p2 = gemenge.probabilities
@@ -376,3 +383,8 @@ def stream_keys(seed, start, count):
         z = (z ^ (z >> np.uint64(27))) * _MIX2
         z = z ^ (z >> np.uint64(31))
     return z
+
+
+def uniforms(seed, start, count):
+    """u_k = (z_k >> 11) 2^-53 of each event counter k in the window."""
+    return (stream_keys(seed, start, count) >> np.uint64(11)).astype(np.float64) * 2.0**-53

@@ -683,6 +683,77 @@ def test_nogo_flags_degenerate_amplitudes(capsys):
     assert all(v["out_of_regime"] for v in report["nogo"]["scopes"].values())
 
 
+@pytest.mark.parametrize("argv", [
+    ["all", "--n-env", "0"],
+    ["all", "--events", "9999"],
+    ["nogo", "--events", "9999"],
+    ["decohere", "--n-env", "0"],
+])
+def test_command_checks_run_before_any_section_builder(argv, monkeypatch, capsys):
+    # the sample floor and n_env >= 1 are config rules of the commands that
+    # run the no-go search or the decoherence analysis; they used to fire
+    # inside those builders, after every earlier section had run
+    called = []
+
+    def recorder(section):
+        def build(*args):
+            called.append(section)
+        return build
+
+    for command, sections in list(cli._SECTIONS.items()):
+        recorded = tuple((section, recorder(section)) for section, _ in sections)
+        monkeypatch.setitem(cli._SECTIONS, command, recorded)
+    rc, out, err = run_main(argv, capsys)
+    assert (rc, out, called) == (1, "", [])
+    assert err.count("\n") == 1 and err.startswith("qmeas: error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--events", "5"],
+    ["discriminate", "--n-env", "0"],
+    ["nogo", "--n-env", "0"],
+    ["decohere", "--events", "5"],
+])
+def test_command_checks_leave_other_commands_alone(argv):
+    config, _ = resolve(argv)
+    assert config.n_env == 0 or config.n_events == 5
+
+
+def test_huge_event_count_without_environment_exits_at_once():
+    # this once sampled 10**9 events and scanned 10**9 candidates per no-go
+    # scope before the decoherence section rejected n_env = 0 (hours of work)
+    child = subprocess.run(
+        [sys.executable, "-m", "qmeas", "all", "--n-env", "0", "--events", "1000000000"],
+        capture_output=True, text=True, env=_child_env(), timeout=10,
+    )
+    assert (child.returncode, child.stdout) == (1, "")
+    assert child.stderr == "qmeas: error: decoherence analysis needs n_env >= 1\n"
+
+
+def _ulps_from(x, n):
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.inf if n > 0 else 0.0)
+    return x
+
+
+REGIME_EDGE = [(repr(_ulps_from(1e-12, n)), "1") for n in range(-3, 8)]
+
+
+@pytest.mark.parametrize("a1, a2", [*REGIME_EDGE, ("0.6", "0.8"), ("1", "0")])
+def test_coherence_factor_is_null_exactly_out_of_the_no_go_regime(a1, a2):
+    # config a1 a2 just above 1e-12 once gave an in-regime coherence factor
+    # while nogo_search, which reads <b1|psi><b2|psi> of the premeasured state
+    # (a few ulps smaller), put every scope out of regime
+    config, _ = resolve(["all", "--a1", a1, "--a2", a2, "--n-env", "2", "--events", "10000"])
+    warnings = []
+    scopes = cli._nogo_section(config, warnings.append, None)["scopes"].values()
+    null = cli._decoherence_section(config)["coherence_factor"] is None
+    assert [scope["out_of_regime"] for scope in scopes] == [null] * 3
+    assert warnings == ["|a1 a2| <= 1e-12: out of the no-go regime, scans are skipped"] * null
+    if a1 in ("0.6", "1", "1.0000000000000002e-12"):  # the last one is the mended band
+        assert null == (a1 != "0.6")
+
+
 def test_usage_error_exits_one(capsys):
     rc, _, err = run_main(["simulate", "--format", "xml"], capsys)
     assert rc == 1

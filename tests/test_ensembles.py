@@ -15,8 +15,6 @@ from qmeas.ensembles import (
     restrict_statistical,
     restrict_stochastic,
     run_ensemble,
-    stream_keys,
-    stream_uniform,
 )
 from qmeas.hilbert import SpaceLayout, basis_state, expectation
 from qmeas.model import (
@@ -43,35 +41,6 @@ def observer_gemenge(p1, p2):
 
 def branch_gemenge(p1, p2, layout=SDO):
     return Gemenge(((branch_state(1, layout), p1), (branch_state(2, layout), p2)))
-
-
-# ------------------------------------------------------------- event streams
-
-def test_stream_uniform_is_deterministic_and_in_range():
-    a = stream_uniform(123, 0, 1000)
-    b = stream_uniform(123, 0, 1000)
-    assert np.array_equal(a, b)
-    assert np.all((a >= 0.0) & (a < 1.0))
-
-
-def test_stream_uniform_vector_matches_scalar_path():
-    batch = stream_uniform(99, 10, 5)
-    singles = [stream_uniform(99, 10 + k, 1)[0] for k in range(5)]
-    assert np.array_equal(batch, singles)
-
-
-def test_stream_keys_differ_across_seeds_and_events():
-    assert stream_keys(1, 0, 1)[0] != stream_keys(2, 0, 1)[0]
-    assert stream_keys(1, 0, 1)[0] != stream_keys(1, 1, 1)[0]
-
-
-@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
-@pytest.mark.parametrize("start", [0, 12345, 2**40])
-def test_stream_keys_equal_step_by_step_expression(seed, start):
-    for count in (0, 1, 32769):
-        keys = stream_keys(seed, start, count)
-        assert keys.dtype == np.uint64
-        assert np.array_equal(keys, _oracle.stream_keys(seed, start, count))
 
 
 # ------------------------------------------------------------------ gemenge
@@ -125,16 +94,6 @@ def test_sample_event_degenerate_distributions():
     assert run_ensemble(0, 1, 50, seed=7).counts == (0, 50)
 
 
-def test_sample_event_is_reproducible():
-    # event k's key and uniform depend on (seed, k) alone: every window holding k agrees
-    k = 12345
-    key, uniform = stream_keys(42, k, 1)[0], stream_uniform(42, k, 1)[0]
-    assert stream_keys(42, k, 1)[0] == key
-    for start, count in ((0, k + 1), (0, 32769), (k, 3), (k - 7, 32769)):
-        assert stream_keys(42, start, count)[k - start] == key
-        assert stream_uniform(42, start, count)[k - start] == uniform
-
-
 def test_sample_event_balanced_frequency_within_binomial_bound():
     n = 100_000
     report = run_ensemble(SQ2, SQ2, n, seed=11)
@@ -167,7 +126,7 @@ def test_run_ensemble_agrees_with_event_loop():
     n = 2000
     report = run_ensemble(0.6, 0.8, n, seed=31)
     p1 = collapse_gemenge(0.6, 0.8).probabilities[0]
-    loop_count = sum(stream_uniform(31, k, 1)[0] < p1 for k in range(n))
+    loop_count = sum(_oracle.uniforms(31, k, 1)[0] < p1 for k in range(n))
     assert report.counts[0] == loop_count
 
 
@@ -237,7 +196,7 @@ def test_run_ensemble_counts_equal_uniforms_below_p1(monkeypatch, p1, seed, n):
     monkeypatch.setattr(ensembles, "collapse_gemenge", lambda a1, a2: observer_gemenge(p1, p2))
     report = run_ensemble(None, None, n, seed)
     assert report.born_probabilities == (p1, p2)
-    assert report.counts[0] == np.count_nonzero(stream_uniform(seed, 0, n) < p1)
+    assert report.counts[0] == np.count_nonzero(_oracle.uniforms(seed, 0, n) < p1)
 
 
 def _peak_bytes(n_events):

@@ -7,11 +7,15 @@ digits of its two direction-sweep minima.  Every file is byte for byte the
 report its ``argv`` writes today.  A refactor must reproduce them,
 including the order in which random candidates are drawn and the phases
 the scans report.  Non-floats must match exactly and floats to within
-1e-13 (relative or absolute).  To regenerate one after a deliberate
-report change, run the ``argv`` below with ``--out`` pointing into
-``tests/golden/``.
+1e-13 (relative or absolute).  ``all.csv`` is the ``all`` report in CSV,
+written before the command checks moved to the config boundary; its names,
+tolerances and ``passed`` cells must match exactly, its values as floats
+within the same 1e-13.  To regenerate one after a deliberate report change,
+run the ``argv`` below (with ``--format csv`` for ``all.csv``) with
+``--out`` pointing into ``tests/golden/``.
 """
 
+import csv
 import json
 import math
 from pathlib import Path
@@ -84,6 +88,37 @@ def test_report_matches_golden(name, tmp_path, monkeypatch, capsys):
     got = json.loads(out.read_text(encoding="utf-8"))
     want = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
     assert list(differences(got, want)) == []
+
+
+def _csv_value_differs(got: str, want: str) -> bool:
+    if got == want:
+        return False
+    try:
+        return not math.isclose(
+            float(got), float(want), rel_tol=FLOAT_TOLERANCE, abs_tol=FLOAT_TOLERANCE
+        )
+    except ValueError:  # a string, a boolean or an empty cell
+        return True
+
+
+def test_csv_report_matches_golden(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("QMEAS_SEED", raising=False)
+    out = tmp_path / "all.csv"
+    assert main(CASES["all"] + ["--format", "csv", "--out", str(out)]) == 0
+    capsys.readouterr()
+    got = list(csv.reader(out.read_text(encoding="utf-8").splitlines()))
+    want = list(csv.reader((GOLDEN / "all.csv").read_text(encoding="utf-8").splitlines()))
+    assert [row[0] for row in got] == [row[0] for row in want]
+    assert [row[2:] for row in got] == [row[2:] for row in want]
+    differ = [g[0] for g, w in zip(got, want) if _csv_value_differs(g[1], w[1])]
+    assert differ == []
+
+
+def test_csv_value_differs_applies_the_float_tolerance():
+    assert not _csv_value_differs("0.99999999999999889", "0.999999999999999")
+    assert _csv_value_differs("1", "1.000000000001")
+    assert _csv_value_differs("10000", "10001")
+    assert _csv_value_differs("true", "false") and _csv_value_differs("", "0")
 
 
 def test_differences_applies_the_float_tolerance():

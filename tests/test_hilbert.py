@@ -12,6 +12,7 @@ from qmeas.hilbert import (
     SpaceLayout,
     StateVector,
     basis_state,
+    eigen_residuals,
     embed_operator,
     expectation,
     grouped_spectra,
@@ -22,6 +23,7 @@ from qmeas.hilbert import (
 )
 from qmeas.model import interference_matrix
 
+import _oracle
 from _helpers import random_density, random_hermitian, random_pure
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -411,6 +413,53 @@ def test_is_eigenstate_matches_brute_force(seed):
     lam = np.vdot(vec, obs.matrix @ vec).real
     brute = np.linalg.norm(obs.matrix @ vec - lam * vec) <= tol
     assert (is_eigenstate(obs, state, tol) is not None) == brute
+
+
+def _eigen_cases(dim, seed):
+    """(observable, state): random states, exact eigenvectors and near misses."""
+    rng = np.random.default_rng(seed)
+    layout = SpaceLayout.of(*"SDOE"[: dim.bit_length() - 1])
+    cases = []
+    for _ in range(20):
+        obs = Observable(layout, random_hermitian(rng, dim))
+        _, vectors = np.linalg.eigh(obs.matrix)
+        eigen = vectors[:, rng.integers(0, dim)]
+        near = eigen + 1e-10 * random_pure(rng, dim)
+        for vec in (random_pure(rng, dim), eigen, near / np.linalg.norm(near)):
+            cases.append((obs, ket(layout, vec)))
+    return cases
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_is_eigenstate_is_row_zero_of_eigen_residuals(dim):
+    # the op in row 0 of a stack of candidates: is_eigenstate returns row 0's
+    # eigenvalue and verdict, bit for bit, also at a tolerance equal to the
+    # row's residual (np.linalg.norm's, as the engine tests show) and one ulp below
+    rng = np.random.default_rng(dim)
+    for obs, state in _eigen_cases(dim, dim):
+        stack = np.stack([obs.matrix, *(random_hermitian(rng, dim) for _ in range(7))])
+        vectors = state.amplitudes[None]
+        products = np.stack([m @ state.amplitudes for m in stack])[:, None]
+        lam = eigen_residuals(products, vectors, 1.0)[0][0, 0]
+        residual = np.linalg.norm(products[0] - lam * vectors, axis=-1)[0]
+        for tol in (1e-9, residual, np.nextafter(residual, 0.0)):
+            row_lam, passed = eigen_residuals(products, vectors, tol)
+            want = float(row_lam[0, 0]) if passed[0] else None
+            assert is_eigenstate(obs, state, tol) == want
+            if tol != 1e-9:
+                assert (want is not None) == (tol == residual)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_is_eigenstate_agrees_with_the_scalar_oracle(dim):
+    passes = 0
+    for obs, state in _eigen_cases(dim, 100 + dim):
+        got, want = is_eigenstate(obs, state), _oracle.is_eigenstate(obs, state)
+        assert (got is None) == (want is None)
+        if got is not None:
+            passes += 1
+            assert got == pytest.approx(want, rel=1e-14, abs=1e-14)
+    assert 0 < passes < 60  # random states fail, eigenvectors pass
 
 
 # ------------------------------------------------------- outcome_distribution

@@ -19,7 +19,6 @@ from qmeas import discrimination
 from qmeas.discrimination import (
     _apply,
     _batch_rows,
-    _eigen_residuals,
     _forcing_draws,
     _pointer_directions,
     _random_hermitians,
@@ -27,7 +26,7 @@ from qmeas.discrimination import (
     forcing_check,
     nogo_search,
 )
-from qmeas.hilbert import InvariantViolation, StateVector
+from qmeas.hilbert import InvariantViolation, StateVector, eigen_residuals
 from qmeas.model import (
     PAULI_X,
     PAULI_Z,
@@ -179,7 +178,7 @@ def _stacked_apply(matrices, vectors):
 
 
 def _norm_eigen_residuals(products, vectors, tol):
-    """``_eigen_residuals`` with its residual from ``np.linalg.norm``."""
+    """``eigen_residuals`` with its residual from ``np.linalg.norm``."""
     lam = np.einsum("si,nsi->ns", vectors.conj(), products).real
     residual = np.linalg.norm(products - lam[..., None] * vectors, axis=-1)
     return lam, np.all(residual <= tol, axis=1)
@@ -213,7 +212,7 @@ def test_eigen_residuals_equal_the_norm_residuals(dim, n_vectors):
     lam = np.einsum("si,nsi->ns", vectors.conj(), products).real
     largest = np.linalg.norm(products - lam[..., None] * vectors, axis=-1).max(axis=1)
     for tol in np.concatenate([largest, np.nextafter(largest, 0.0)]):
-        got = _eigen_residuals(products, vectors, tol)
+        got = eigen_residuals(products, vectors, tol)
         want = _norm_eigen_residuals(products, vectors, tol)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         assert np.array_equal(got[1], largest <= tol)
@@ -234,7 +233,7 @@ def test_verdicts_do_not_depend_on_the_batch_rows(monkeypatch, tol):
 
     monkeypatch.setattr(discrimination, "_pointer_directions", at_64_rows)
     monkeypatch.setattr(discrimination, "_apply", _stacked_apply)
-    monkeypatch.setattr(discrimination, "_eigen_residuals", _norm_eigen_residuals)
+    monkeypatch.setattr(discrimination, "eigen_residuals", _norm_eigen_residuals)
     want = [nogo_search(scope, STATES, N, tol=tol, seed=3) for scope in scopes]
     assert rows_asked == [OD_ROWS, OD_ROWS]
     assert got == want
