@@ -45,11 +45,7 @@ from .ensembles import (
     run_ensemble,
 )
 from .discrimination import (
-    ChannelInformationReport,
     DiscriminationVerdict,
-    ForcingCheck,
-    InterferenceReport,
-    PhaseScanResult,
     channel_information,
     interference_analysis,
     interference_phase_scan,

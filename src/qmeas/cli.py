@@ -340,13 +340,13 @@ def _overlaps_section(config: ExperimentConfig, warn, channel) -> dict:
 
 def _purity_section(config: ExperimentConfig, *_) -> dict:
     pure, mixed = matched_pair((config.a1, config.a2), "S")
-    scan = optimal_phase(pure)
+    gamma, purity = optimal_phase(pure)
     return {
         "pure_r_p_at_gamma": metric(purity_rate(pure, config.gamma)),
         "pure_r_p_optimal": metric(
-            scan.purity, target=2.0 * abs(config.a1) * abs(config.a2), tolerance=1e-9
+            purity, target=2.0 * abs(config.a1) * abs(config.a2), tolerance=1e-9
         ),
-        "optimal_gamma": scan.gamma,
+        "optimal_gamma": gamma,
         "mixture_r_p_at_gamma": metric(
             purity_rate(mixed, config.gamma), target=0.0, tolerance=1e-12
         ),
@@ -358,16 +358,15 @@ def _interference_section(config: ExperimentConfig, *_) -> dict:
     target_min = 1.0 - abs(config.a1) * abs(config.a2)
     sections = {}
     for scope in ("MS", "SD"):
-        report = interference_analysis(np.exp(1j * config.c_phase), a, scope=scope)
+        eigenvalues, pure, mixed, k = interference_analysis(
+            np.exp(1j * config.c_phase), a, scope=scope)
         phase, k_min = interference_phase_scan(a, scope=scope)
         sections[scope] = {
             "c_phase": config.c_phase,
-            "eigenvalues": list(report.b_eigenvalues),
-            "expectation_pure": metric(report.expectation_pure),
-            "expectation_mixed": metric(
-                report.expectation_mixed, target=0.0, tolerance=1e-12
-            ),
-            "K_at_c_phase": metric(report.k_value),
+            "eigenvalues": list(eigenvalues),
+            "expectation_pure": metric(pure),
+            "expectation_mixed": metric(mixed, target=0.0, tolerance=1e-12),
+            "K_at_c_phase": metric(k),
             "phase_scan": {
                 "phase_at_min": phase,
                 "K_min": metric(k_min, target=target_min, tolerance=1e-4),
@@ -378,30 +377,23 @@ def _interference_section(config: ExperimentConfig, *_) -> dict:
 
 def _channel_section(config: ExperimentConfig, _warn, channel) -> dict:
     target_min = 1.0 - abs(config.a1) * abs(config.a2)
-    report = channel()
+    k_sz, pre_gamma, pre_k_min, post_k_min = channel()
     return {
-        "K_S_z_eigenstate_pair": metric(
-            report.k_sz_eigenstates, target=0.0, tolerance=1e-12
-        ),
-        "pre_channel_K_min": metric(
-            report.pre_channel_k_min, target=target_min, tolerance=1e-9
-        ),
-        "pre_channel_gamma": report.pre_channel_gamma,
-        "post_channel_K_min": metric(
-            report.post_channel_k_min, target=1.0, tolerance=1e-9
-        ),
+        "K_S_z_eigenstate_pair": metric(k_sz, target=0.0, tolerance=1e-12),
+        "pre_channel_K_min": metric(pre_k_min, target=target_min, tolerance=1e-9),
+        "pre_channel_gamma": pre_gamma,
+        "post_channel_K_min": metric(post_k_min, target=1.0, tolerance=1e-9),
         "n_gamma": PHASE_GRID,
         "n_directions": N_DIRECTIONS,
     }
 
 
 def _forcing_dict(record) -> dict:
+    n_samples, max_residual, max_gap = record
     return {
-        "n_samples": record.n_samples,
-        "max_substitution_residual": metric(
-            record.max_substitution_residual, target=0.0, tolerance=1e-12
-        ),
-        "max_forced_gap": metric(record.max_forced_gap, target=0.0, tolerance=1e-8),
+        "n_samples": n_samples,
+        "max_substitution_residual": metric(max_residual, target=0.0, tolerance=1e-12),
+        "max_forced_gap": metric(max_gap, target=0.0, tolerance=1e-8),
     }
 
 
@@ -470,7 +462,7 @@ def _decoherence_section(config: ExperimentConfig, *_) -> dict:
 
 # Sections each command fills, in report order.  Every builder is called as
 # builder(config, warn, channel); channel() returns the run's one
-# channel_information report, computed on first use.
+# channel_information tuple, computed on first use.
 _SECTIONS = {
     "simulate": (("frequency", _frequency_section), ("restriction", _restriction_section)),
     "discriminate": (

@@ -132,20 +132,13 @@ def purity_rate(rho_s: State, gamma: float) -> float:
     return 2.0 * abs(float(_spin_expectations(rho_s, gamma)))
 
 
-class PhaseScanResult(NamedTuple):
-    """Outcome of the purity-rate phase scan; gamma is None when indeterminate."""
-
-    gamma: float | None
-    purity: float
-
-
-SCAN_TIE_WINDOW = 1e-12  # mirrored grid values this close to the extremum are re-scored
+SCAN_TIE_WINDOW = 1e-12  # mirrored grid values this close to the minimum are re-scored
 
 
 def _scan_extremum(
-    objective: Callable[[np.ndarray], np.ndarray], minimize: bool, dim: int
+    objective: Callable[[np.ndarray], np.ndarray], dim: int
 ) -> tuple[float, float]:
-    """Phase in [0, 2 pi) extremizing ``objective``: ``PHASE_GRID`` scan plus refinement.
+    """Phase in [0, 2 pi) minimizing ``objective``: ``PHASE_GRID`` scan plus refinement.
 
     ``objective(phases)`` returns the exact value at each phase of an array
     of dim x dim matrices; it is called on ``_batch_rows(dim * dim)`` phases
@@ -154,18 +147,17 @@ def _scan_extremum(
     objective runs on the first half of the (even) grid only and its values
     are copied onto the second half.  A copied value differs from the value
     at its own point by roundoff, so the grid points within
-    ``SCAN_TIE_WINDOW`` of the copied extremum are scored again at their own
-    phases, and the first extremal one is refined by an 80-step ternary
+    ``SCAN_TIE_WINDOW`` of the copied minimum are scored again at their own
+    phases, and the first minimal one is refined by an 80-step ternary
     search that scores each pair of inner points in one call.  The result is
     the one a point-by-point scan finds (exact grid ties at p and p + pi are
     the rule).  Returns the unwrapped phase and its value.
     """
     rows = _batch_rows(dim * dim)
-    sign = 1.0 if minimize else -1.0
 
     def score(phases: np.ndarray) -> np.ndarray:
         batches = _chunks(len(phases), rows)
-        return sign * np.concatenate([objective(phases[i:i + size]) for i, size in batches])
+        return np.concatenate([objective(phases[i:i + size]) for i, size in batches])
 
     grid = np.linspace(0.0, 2.0 * math.pi, PHASE_GRID, endpoint=False)
     half = score(grid[: PHASE_GRID // 2])
@@ -183,24 +175,23 @@ def _scan_extremum(
     return x, float(objective(np.array([x]))[0])
 
 
-def optimal_phase(rho_s: State) -> PhaseScanResult:
-    """Grid scan plus local refinement of the purity rate over the phase.
+def optimal_phase(rho_s: State) -> tuple[float | None, float]:
+    """(gamma, purity): grid scan plus local refinement of the purity rate over the phase.
 
-    The returned phase is canonicalized so the conjugate-spin expectation is
-    nonnegative there; a maximally mixed input has no meaningful maximizer
-    and is reported with ``gamma=None``.
+    The scan minimizes -2|<S_a>|.  The returned phase is canonicalized so the
+    conjugate-spin expectation is nonnegative there; a maximally mixed input
+    has no meaningful maximizer and is reported with gamma None.
     """
     _single_qubit(rho_s)
-    gamma, purity = _scan_extremum(
-        lambda gammas: 2.0 * np.abs(_spin_expectations(rho_s, gammas)),
-        minimize=False,
-        dim=2,
+    gamma, negated = _scan_extremum(
+        lambda gammas: -2.0 * np.abs(_spin_expectations(rho_s, gammas)), dim=2
     )
+    purity = -negated
     if purity <= INDETERMINATE_PURITY:
-        return PhaseScanResult(gamma=None, purity=purity)
+        return None, purity
     if _spin_expectations(rho_s, gamma) < 0.0:
         gamma -= math.pi
-    return PhaseScanResult(gamma=float(gamma % (2.0 * math.pi)), purity=purity)
+    return float(gamma % (2.0 * math.pi)), purity
 
 
 def _apply(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -208,22 +199,12 @@ def _apply(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return np.matmul(matrices[:, None], vectors[None, :, :, None])[..., 0]
 
 
-class ForcingCheck(NamedTuple):
-    """Numerical record of the identity that forces equal eigenvalues.
-
-    For Hermitian G with both branches as exact eigenvectors,
-    G psi = a1 g1 psi_1 + a2 g2 psi_2, so the eigenstate residual of psi
-    equals |g1 - g2| |a1| |a2|; whenever psi passes the eigenstate test that
-    product is bounded by the tolerance.
-    """
-
-    n_samples: int
-    max_substitution_residual: float
-    max_forced_gap: float
-
-
 class DiscriminationVerdict(NamedTuple):
-    """Result of one no-go scan over an observable family."""
+    """Result of one no-go scan over an observable family.
+
+    A record rather than a tuple: the benchmark's tracer reads
+    ``n_candidates_tested`` by name.
+    """
 
     family_description: str
     n_candidates_tested: int
@@ -312,9 +293,16 @@ def forcing_check(
     n_samples: int = 1000,
     seed: int = 0,
     tol: float = DEFAULT_EIGENSTATE_TOL,
-) -> ForcingCheck:
-    """Sample Hermitian G with the branches as exact eigenvectors and record
-    the substitution residual and the forced eigenvalue gap.
+) -> tuple[int, float, float]:
+    """Check the identity that forces equal eigenvalues on sampled Hermitian G.
+
+    For Hermitian G with both branches as exact eigenvectors,
+    G psi = a1 g1 psi_1 + a2 g2 psi_2, so the eigenstate residual of psi
+    equals |g1 - g2| |a1| |a2|; whenever psi passes the eigenstate test that
+    product is bounded by the tolerance.  Returns (n_samples,
+    max_substitution_residual, max_forced_gap): the largest deviation of
+    G psi from that substitution, and the largest forced gap
+    |g1 - g2| |a1| |a2| among samples where psi passed.
 
     The identity depends on the state triple only, checked as in
     ``nogo_search``, so one check covers every scope on ``states``.
@@ -342,7 +330,7 @@ def forcing_check(
         if passed.any():
             gap = np.abs(g1 - g2)[passed] * abs(a1) * abs(a2)
             max_gap = max(max_gap, float(gap.max()))
-    return ForcingCheck(n_samples, max_residual, max_gap)
+    return n_samples, max_residual, max_gap
 
 
 def nogo_search(
@@ -453,35 +441,23 @@ def nogo_search(
     )
 
 
-class InterferenceReport(NamedTuple):
-    """Spectrum, expectations and overlap of one interference operator."""
-
-    b_eigenvalues: tuple[float, ...]
-    expectation_pure: float
-    expectation_mixed: float
-    k_value: float
-
-
 def interference_analysis(
     c1: complex, a: tuple[complex, complex], scope: str = "MS"
-) -> InterferenceReport:
+) -> tuple[tuple[float, ...], float, float, float]:
     """Interference-term diagnostics on the premeasured chain.
 
     Builds the joint flip operator at phase ``c1`` over the chain factors of
-    the scope ("MS" or "SD"), and reports its spectrum, its expectation on
-    the entangled pure state and on the matched branch mixture, and the
-    overlap between the two outcome distributions.
+    the scope ("MS" or "SD") and returns (eigenvalues, expectation_pure,
+    expectation_mixed, k): its spectrum, its expectation on the entangled
+    pure state and on the matched branch mixture, and the overlap between
+    the two outcome distributions.
     """
     if scope not in ("MS", "SD"):
         raise ValueError("scope must be 'MS' or 'SD'")
     pure, mixture = matched_pair(a, scope)
     op = interference_operator(pure.layout, c1, factors=pure.layout.labels)
-    return InterferenceReport(
-        b_eigenvalues=op.eigenvalues,
-        expectation_pure=expectation(pure, op),
-        expectation_mixed=expectation(mixture, op),
-        k_value=overlap(op, pure, mixture),
-    )
+    return (op.eigenvalues, expectation(pure, op), expectation(mixture, op),
+            overlap(op, pure, mixture))
 
 
 def interference_phase_scan(a: tuple[complex, complex], scope: str = "MS") -> tuple[float, float]:
@@ -498,39 +474,28 @@ def interference_phase_scan(a: tuple[complex, complex], scope: str = "MS") -> tu
     def k_values(phases: np.ndarray) -> np.ndarray:
         return _overlaps(interference_matrix(np.exp(1j * phases), n_factors), pure, mixture)
 
-    phase, k_min = _scan_extremum(k_values, minimize=True, dim=pure.layout.total_dim)
+    phase, k_min = _scan_extremum(k_values, dim=pure.layout.total_dim)
     return float(phase % (2.0 * math.pi)), float(k_min)
 
 
-class ChannelInformationReport(NamedTuple):
-    """Input-side vs detector-side distinguishability of the pure/mixed pair."""
-
-    k_sz_eigenstates: float
-    pre_channel_gamma: float
-    pre_channel_k_min: float
-    post_channel_k_min: float
-
-
-def channel_information(a: tuple[complex, complex]) -> ChannelInformationReport:
+def channel_information(a: tuple[complex, complex]) -> tuple[float, float, float, float]:
     """Overlap accounting across the measurement channel.
 
-    Reports the overlap of the two incoming basis states under the measured
-    spin component (zero: one full bit), the minimal input-side overlap of
-    the pure state against the matched mixture over the ``PHASE_GRID``
-    conjugate-spin sweep, and the minimal detector-side overlap over
-    ``N_DIRECTIONS`` detector observables on the Fibonacci sphere after
-    premeasurement, scored in one stacked call (one: nothing about purity
-    arrives).
+    Returns (k_sz_eigenstates, pre_channel_gamma, pre_channel_k_min,
+    post_channel_k_min): the overlap of the two incoming basis states under
+    the measured spin component (zero: one full bit), the phase and value of
+    the minimal input-side overlap of the pure state against the matched
+    mixture over the ``PHASE_GRID`` conjugate-spin sweep, and the minimal
+    detector-side overlap over ``N_DIRECTIONS`` detector observables on the
+    Fibonacci sphere after premeasurement, scored in one stacked call (one:
+    nothing about purity arrives).
     """
-    system_layout = SpaceLayout.of("S")
-    sz = Observable(system_layout, PAULI_Z / 2.0, name="S_z")
+    sz = zoo(SpaceLayout.of("S"))["S_z"]
     k_sz = overlap(sz, prepare_system(1, 0), prepare_system(0, 1))
 
     pure, mixture = matched_pair(a, "S")
     gamma, pre_k = _scan_extremum(
-        lambda gammas: _overlaps(conjugate_spin_matrix(gammas), pure, mixture),
-        minimize=True,
-        dim=2,
+        lambda gammas: _overlaps(conjugate_spin_matrix(gammas), pure, mixture), dim=2
     )
 
     pure_sd, mixed_sd = matched_pair(a, "SD")
@@ -541,9 +506,4 @@ def channel_information(a: tuple[complex, complex]) -> ChannelInformationReport:
     matrices = np.einsum("nk,kab->nab", directions, _POINTER_BASIS)
     post_k = min(1.0, float(_overlaps(matrices, pure_d, mixed_d).min()))
 
-    return ChannelInformationReport(
-        k_sz_eigenstates=k_sz,
-        pre_channel_gamma=float(gamma % (2.0 * math.pi)),
-        pre_channel_k_min=float(pre_k),
-        post_channel_k_min=post_k,
-    )
+    return k_sz, float(gamma % (2.0 * math.pi)), float(pre_k), post_k

@@ -80,7 +80,10 @@ class Gemenge(Immutable):
 
 
 class FrequencyReport(NamedTuple):
-    """Aggregated branch statistics of one sampled ensemble."""
+    """Aggregated branch statistics of one sampled ensemble.
+
+    A record rather than a tuple: the benchmark's tracer reads ``n_events`` by name.
+    """
 
     n_events: int
     counts: tuple[int, int]

@@ -168,6 +168,8 @@ class DensityMatrix(Immutable):
 
 
 class SpectralEntry(NamedTuple):
+    """One spectral group; ``outcome_distribution`` and ``Observable.eigenvalues`` read it."""
+
     eigenvalue: float
     projector: np.ndarray
     multiplicity: int
@@ -179,19 +181,19 @@ class Observable(Immutable):
     The input matrix must be Hermitian within ``ATOL_HERMITIAN_INPUT``; the
     stored copy is symmetrized so downstream code sees an exactly Hermitian
     matrix.  ``spectrum`` is the one-row call of ``grouped_spectra``,
-    computed on each access.
+    computed on each access.  An observable carries no name of its own: the
+    named ones are the keys of ``model.zoo``.
     """
 
-    __slots__ = ("layout", "matrix", "name")
+    __slots__ = ("layout", "matrix")
 
-    def __init__(self, layout: SpaceLayout, matrix, name: str | None = None):
+    def __init__(self, layout: SpaceLayout, matrix):
         dim = layout.total_dim
         arr = np.array(matrix, dtype=np.complex128)
         if arr.shape != (dim, dim):
             raise ValueError(f"matrix has shape {arr.shape}, layout needs ({dim}, {dim})")
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "matrix", _frozen(checked_hermitian(arr)))
-        object.__setattr__(self, "name", name)
 
     @property
     def spectrum(self) -> tuple[SpectralEntry, ...]:
@@ -206,8 +208,7 @@ class Observable(Immutable):
         return tuple(entry.eigenvalue for entry in self.spectrum)
 
     def __repr__(self):
-        label = self.name or "G"
-        return f"Observable({label!r}, dim={self.layout.total_dim})"
+        return f"Observable(dim={self.layout.total_dim})"
 
 
 def checked_hermitian(matrices: np.ndarray) -> np.ndarray:
@@ -306,8 +307,7 @@ def embed_operator(
     n = layout.n_factors
     tensor = big.reshape((2,) * (2 * n))
     tensor = tensor.transpose(perm + [p + n for p in perm])
-    return Observable(layout, tensor.reshape(layout.total_dim, layout.total_dim),
-                      name=op.name)
+    return Observable(layout, tensor.reshape(layout.total_dim, layout.total_dim))
 
 
 def partial_trace(state: State, keep_labels: Sequence[str]) -> DensityMatrix:

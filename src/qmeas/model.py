@@ -203,12 +203,7 @@ def interference_operator(
 
     Rejects |c1| != 1.
     """
-    matrix = interference_matrix(c1, len(factors))
-    sub = SpaceLayout.of(*factors)
-    name = "B" if len(factors) == 3 else "B_SD"
-    op = Observable(sub, matrix, name=name)
-    if tuple(layout.labels) == tuple(factors):
-        return op
+    op = Observable(SpaceLayout.of(*factors), interference_matrix(c1, len(factors)))
     return embed_operator(op, list(factors), layout)
 
 
@@ -222,9 +217,9 @@ def zoo(layout: SpaceLayout, gamma: float = 0.0) -> Mapping[str, Observable]:
     labels = set(layout.labels)
     members: dict[str, Observable] = {}
 
-    def put(name: str, matrix: np.ndarray, target: str) -> None:
-        op = Observable(SpaceLayout.of(target), matrix, name=name)
-        members[name] = embed_operator(op, [target], layout)
+    def put(name: str, matrix: np.ndarray, *targets: str) -> None:
+        op = Observable(SpaceLayout.of(*targets), matrix)
+        members[name] = embed_operator(op, targets, layout)
 
     if SYSTEM in labels:
         put("S_z", PAULI_Z / 2.0, SYSTEM)
@@ -241,12 +236,7 @@ def zoo(layout: SpaceLayout, gamma: float = 0.0) -> Mapping[str, Observable]:
         put("V_y", PAULI_Y, OBSERVER)
         put("A", PAULI_Z, OBSERVER)
     if SYSTEM in labels and DETECTOR in labels:
-        sz_q = Observable(
-            SpaceLayout.of(SYSTEM, DETECTOR),
-            np.kron(PAULI_Z / 2.0, PAULI_Z),
-            name="SzQ",
-        )
-        members["SzQ"] = embed_operator(sz_q, [SYSTEM, DETECTOR], layout)
+        put("SzQ", np.kron(PAULI_Z / 2.0, PAULI_Z), SYSTEM, DETECTOR)
         members["B_SD"] = interference_operator(
             layout, 1.0, factors=(SYSTEM, DETECTOR)
         )

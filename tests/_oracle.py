@@ -39,10 +39,7 @@ from qmeas.discrimination import (
     MIN_NOGO_SAMPLES,
     N_DIRECTIONS,
     PHASE_GRID,
-    ChannelInformationReport,
     DiscriminationVerdict,
-    ForcingCheck,
-    PhaseScanResult,
     _sphere_rows,
 )
 from qmeas.ensembles import (
@@ -85,7 +82,7 @@ def _born(state, matrix):
 
 
 def purity_rate(rho_s, gamma):
-    op = Observable(rho_s.layout, conjugate_spin_matrix(gamma), name="S_a")
+    op = Observable(rho_s.layout, conjugate_spin_matrix(gamma))
     return 2.0 * abs(_born(rho_s, op.matrix))
 
 
@@ -153,7 +150,7 @@ def forcing_check(states, n_samples=1000, seed=0, tol=DEFAULT_EIGENSTATE_TOL):
         max_residual = max(max_residual, residual)
         if is_eigenstate(op, psi, tol) is not None:
             max_gap = max(max_gap, abs(g1 - g2) * abs(a1) * abs(a2))
-    return ForcingCheck(n_samples, max_residual, max_gap)
+    return n_samples, max_residual, max_gap
 
 
 def nogo_search(layout_scope, states, n_candidates, tol=DEFAULT_EIGENSTATE_TOL, seed=0):
@@ -188,16 +185,16 @@ def nogo_search(layout_scope, states, n_candidates, tol=DEFAULT_EIGENSTATE_TOL, 
             label = OBSERVER if layout_scope == "O" else DETECTOR
             sub = SpaceLayout.of(label)
             for row in _sphere_rows(n_grid, 0, n_grid):
-                op = Observable(sub, _pointer_algebra_matrix(row), name="A")
+                op = Observable(sub, _pointer_algebra_matrix(row))
                 yield embed_operator(op, [label], psi.layout), tuple(row)
             for _ in range(n_random):
                 row = rng.normal(size=3)
                 row /= np.linalg.norm(row)
-                op = Observable(sub, _pointer_algebra_matrix(row), name="A")
+                op = Observable(sub, _pointer_algebra_matrix(row))
                 yield embed_operator(op, [label], psi.layout), tuple(row)
         else:
             structured = dict(zoo(psi.layout))
-            structured["I"] = Observable(psi.layout, np.eye(dim), name="I")
+            structured["I"] = Observable(psi.layout, np.eye(dim))
             for name, op in structured.items():
                 yield op, name
             for k in range(n_random):
@@ -267,11 +264,11 @@ def optimal_phase(rho_s):
         minimize=False,
     )
     if purity <= INDETERMINATE_PURITY:
-        return PhaseScanResult(gamma=None, purity=purity)
-    op = Observable(rho_s.layout, conjugate_spin_matrix(gamma), name="S_a")
+        return None, purity
+    op = Observable(rho_s.layout, conjugate_spin_matrix(gamma))
     if _born(rho_s, op.matrix) < 0.0:
         gamma -= math.pi
-    return PhaseScanResult(gamma=float(gamma % (2.0 * math.pi)), purity=purity)
+    return float(gamma % (2.0 * math.pi)), purity
 
 
 def _chain_pair(a, scope):
@@ -310,7 +307,7 @@ def interference_phase_scan(a, scope="MS"):
 def channel_information(a):
     a1, a2 = a
     system_layout = SpaceLayout.of("S")
-    sz = Observable(system_layout, PAULI_Z / 2.0, name="S_z")
+    sz = Observable(system_layout, PAULI_Z / 2.0)
     up = prepare_system(1, 0)
     down = prepare_system(0, 1)
     k_sz = k_value(sz, up, down)
@@ -321,7 +318,7 @@ def channel_information(a):
     )
 
     def k_of_gamma(gamma):
-        op = Observable(system_layout, conjugate_spin_matrix(gamma), name="S_a")
+        op = Observable(system_layout, conjugate_spin_matrix(gamma))
         return k_value(op, pure, mixture)
 
     grid = np.linspace(0.0, 2.0 * math.pi, PHASE_GRID, endpoint=False)
@@ -338,15 +335,10 @@ def channel_information(a):
     detector_layout = SpaceLayout.of(DETECTOR)
     post_k = 1.0
     for row in _sphere_rows(N_DIRECTIONS, 0, N_DIRECTIONS):
-        op = Observable(detector_layout, _pointer_algebra_matrix(row), name="Q(n)")
+        op = Observable(detector_layout, _pointer_algebra_matrix(row))
         post_k = min(post_k, k_value(op, pure_d, mixed_d))
 
-    return ChannelInformationReport(
-        k_sz_eigenstates=k_sz,
-        pre_channel_gamma=float(gamma % (2.0 * math.pi)),
-        pre_channel_k_min=float(pre_k),
-        post_channel_k_min=float(post_k),
-    )
+    return k_sz, float(gamma % (2.0 * math.pi)), float(pre_k), float(post_k)
 
 
 def run_ensemble(a1, a2, n_events, seed=0):

@@ -80,13 +80,13 @@ MUTANTS = (
         "group-sum-fsum", "discrimination.py",
         "    total = 0.0\n    for term in terms:\n        total = total + term\n    return total\n",
         "    return np.array([math.fsum(column) for column in np.asarray(terms).T])\n",
-        (SCAN_KERNEL, "tests/test_scan_engine.py"),
+        (SCAN_KERNEL,),
     ),
     Mutant(
         "cosine-one-ulp", "model.py",
         "for f in (math.cos, math.sin))",
         "for f in (lambda g: math.nextafter(math.cos(g), 2.0), math.sin))",
-        (SCAN_KERNEL, "tests/test_scan_engine.py"),
+        (SCAN_KERNEL,),
     ),
     Mutant(
         # numpy's array cos and sin agree with libm on many CPUs
@@ -94,7 +94,7 @@ MUTANTS = (
         "np.fromiter(map(f, flat), float, len(flat)).reshape(gammas.shape + (1, 1))\n"
         "                for f in (math.cos, math.sin))",
         "f(gammas)[..., None, None] for f in (np.cos, np.sin))",
-        (SCAN_KERNEL, "tests/test_scan_engine.py"),
+        (SCAN_KERNEL,),
         host_dependent=True,
     ),
     # the sampler's integer branch threshold and its keys

@@ -189,30 +189,30 @@ def test_purity_rate_requires_single_qubit():
 # ------------------------------------------------------------- optimal_phase
 
 def test_optimal_phase_recovers_quantum_phase():
-    result = optimal_phase(prepare_system(0.6, 0.8j))
-    assert result.gamma == pytest.approx(np.pi / 2, abs=1e-6)
-    assert result.purity == pytest.approx(0.96, abs=1e-9)
+    gamma, purity = optimal_phase(prepare_system(0.6, 0.8j))
+    assert gamma == pytest.approx(np.pi / 2, abs=1e-6)
+    assert purity == pytest.approx(0.96, abs=1e-9)
 
 
 def test_optimal_phase_real_positive_amplitudes():
-    result = optimal_phase(prepare_system(0.8, 0.6))
-    assert min(result.gamma, 2 * np.pi - result.gamma) == pytest.approx(0.0, abs=1e-6)
-    assert result.purity == pytest.approx(0.96, abs=1e-9)
+    gamma, purity = optimal_phase(prepare_system(0.8, 0.6))
+    assert min(gamma, 2 * np.pi - gamma) == pytest.approx(0.0, abs=1e-6)
+    assert purity == pytest.approx(0.96, abs=1e-9)
 
 
 def test_optimal_phase_maximally_mixed_is_indeterminate():
     rho = DensityMatrix(S, np.eye(2) / 2)
-    result = optimal_phase(rho)
-    assert result.gamma is None
-    assert result.purity == pytest.approx(0.0, abs=1e-10)
+    gamma, purity = optimal_phase(rho)
+    assert gamma is None
+    assert purity == pytest.approx(0.0, abs=1e-10)
 
 
 def test_optimal_phase_matches_amplitude_product():
     rng = np.random.default_rng(8)
     for _ in range(10):
         v = random_pure(rng, 2)
-        result = optimal_phase(StateVector(S, v))
-        assert result.purity == pytest.approx(2 * abs(v[0]) * abs(v[1]), abs=1e-9)
+        _, purity = optimal_phase(StateVector(S, v))
+        assert purity == pytest.approx(2 * abs(v[0]) * abs(v[1]), abs=1e-9)
 
 
 # ------------------------------------------------- eigenstate discrimination
@@ -241,7 +241,7 @@ def test_eigen_test_degenerate_product_observable():
 
 def test_eigen_test_identity_never_discriminates():
     psi, b1, b2 = chain_states(0.6, 0.8)
-    identity = Observable(SDO, np.eye(8), name="I")
+    identity = Observable(SDO, np.eye(8))
     assert eigen_triple(identity, psi, b1, b2) == pytest.approx((1.0, 1.0, 1.0), abs=1e-12)
 
 
@@ -289,10 +289,10 @@ def test_forcing_identity_residual_equals_gap_product():
 
 def test_forcing_check_bounds():
     states = chain_states(0.6, 0.8)
-    record = forcing_check(states, n_samples=300, seed=3)
-    assert record.n_samples == 300
-    assert record.max_substitution_residual <= 1e-12
-    assert record.max_forced_gap <= 1e-8
+    n_samples, max_residual, max_gap = forcing_check(states, n_samples=300, seed=3)
+    assert n_samples == 300
+    assert max_residual <= 1e-12
+    assert max_gap <= 1e-8
 
 
 # -------------------------------------------------------------- nogo_search
@@ -305,7 +305,8 @@ def test_nogo_search_observer_algebra():
     assert verdict.witness is None
     assert verdict.n_candidates_tested == 10_000
     assert verdict.max_min_gap <= 1e-8
-    assert forcing_check(states, seed=3).max_forced_gap <= 1e-8
+    _, _, max_gap = forcing_check(states, seed=3)
+    assert max_gap <= 1e-8
 
 
 def test_nogo_search_detector_algebra():
@@ -372,11 +373,11 @@ def test_interference_symmetric_chain_is_eigenstate():
     b = zoo(SDO)["B"]
     assert is_eigenstate(b, psi, tol=1e-10) == pytest.approx(1.0, abs=1e-10)
 
-    report = interference_analysis(1.0, (SQ2, SQ2), scope="MS")
-    assert report.expectation_pure == pytest.approx(1.0, abs=1e-12)
-    assert report.expectation_mixed == pytest.approx(0.0, abs=1e-12)
-    assert report.k_value == pytest.approx(0.5, abs=1e-10)
-    assert report.b_eigenvalues == pytest.approx((-1.0, 0.0, 1.0))
+    eigenvalues, pure, mixed, k = interference_analysis(1.0, (SQ2, SQ2), scope="MS")
+    assert pure == pytest.approx(1.0, abs=1e-12)
+    assert mixed == pytest.approx(0.0, abs=1e-12)
+    assert k == pytest.approx(0.5, abs=1e-10)
+    assert eigenvalues == pytest.approx((-1.0, 0.0, 1.0))
 
 
 def test_interference_mixture_expectation_vanishes_for_any_phase():
@@ -384,22 +385,22 @@ def test_interference_mixture_expectation_vanishes_for_any_phase():
     for _ in range(10):
         phase = rng.uniform(0, 2 * np.pi)
         theta = rng.uniform(0.1, np.pi / 2 - 0.1)
-        report = interference_analysis(
+        _, _, mixed, _ = interference_analysis(
             np.exp(1j * phase), (math.cos(theta), math.sin(theta)), scope="MS"
         )
-        assert report.expectation_mixed == pytest.approx(0.0, abs=1e-12)
+        assert mixed == pytest.approx(0.0, abs=1e-12)
 
 
 def test_interference_phase_matched_overlap():
-    report = interference_analysis(1.0, (0.6, 0.8), scope="MS")
-    assert report.k_value == pytest.approx(0.52, abs=1e-10)
+    *_, k = interference_analysis(1.0, (0.6, 0.8), scope="MS")
+    assert k == pytest.approx(0.52, abs=1e-10)
 
 
 def test_interference_subchain_scope():
-    report = interference_analysis(1.0, (SQ2, SQ2), scope="SD")
-    assert report.expectation_pure == pytest.approx(1.0, abs=1e-12)
-    assert report.expectation_mixed == pytest.approx(0.0, abs=1e-12)
-    assert report.k_value == pytest.approx(0.5, abs=1e-10)
+    _, pure, mixed, k = interference_analysis(1.0, (SQ2, SQ2), scope="SD")
+    assert pure == pytest.approx(1.0, abs=1e-12)
+    assert mixed == pytest.approx(0.0, abs=1e-12)
+    assert k == pytest.approx(0.5, abs=1e-10)
 
 
 def test_interference_phase_scan_reaches_minimal_overlap():
@@ -420,16 +421,16 @@ def test_interference_rejects_unknown_scope():
 # ------------------------------------------------------- channel information
 
 def test_channel_information_symmetric_case():
-    report = channel_information((SQ2, SQ2))
-    assert report.k_sz_eigenstates == pytest.approx(0.0, abs=1e-12)
-    assert report.pre_channel_k_min == pytest.approx(0.5, abs=1e-9)
-    assert report.post_channel_k_min == pytest.approx(1.0, abs=1e-9)
+    k_sz, _, pre_k_min, post_k_min = channel_information((SQ2, SQ2))
+    assert k_sz == pytest.approx(0.0, abs=1e-12)
+    assert pre_k_min == pytest.approx(0.5, abs=1e-9)
+    assert post_k_min == pytest.approx(1.0, abs=1e-9)
 
 
 def test_channel_information_asymmetric_case():
-    report = channel_information((0.6, 0.8))
-    assert report.pre_channel_k_min == pytest.approx(0.52, abs=1e-9)
-    assert report.post_channel_k_min == pytest.approx(1.0, abs=1e-9)
+    _, _, pre_k_min, post_k_min = channel_information((0.6, 0.8))
+    assert pre_k_min == pytest.approx(0.52, abs=1e-9)
+    assert post_k_min == pytest.approx(1.0, abs=1e-9)
 
 
 # ------------------------------------------------- purity under decoherence
@@ -441,7 +442,8 @@ def test_purity_rate_of_restricted_system_after_chain_decoherence():
     for env_overlap in np.linspace(1.0, 0.0, 9):
         full = decohere(measurement_chain_state(SQ2, SQ2), 3, float(env_overlap))
         rho_s = partial_trace(full, ["S"])
-        values.append(optimal_phase(rho_s).purity)
+        _, purity = optimal_phase(rho_s)
+        values.append(purity)
     assert all(v <= 1e-10 for v in values)
     for earlier, later in zip(values, values[1:]):
         assert later <= earlier + 1e-10
@@ -454,7 +456,7 @@ def test_purity_rate_decays_for_directly_decohered_qubit():
     for env_overlap in np.linspace(1.0, 0.0, 9):
         tagged = decohere(prepare_system(a1, a2), n_env, float(env_overlap), control_label="S")
         rho_s = partial_trace(tagged, ["S"])
-        rate = optimal_phase(rho_s).purity
+        _, rate = optimal_phase(rho_s)
         assert rate == pytest.approx(2 * a1 * a2 * env_overlap**n_env, abs=1e-9)
         values.append(rate)
     for earlier, later in zip(values, values[1:]):

@@ -94,7 +94,7 @@ def test_states_reject_attribute_assignment_and_compare_by_identity(kind):
     value, name = {
         "state": (state, "amplitudes"),
         "density": (state.density(), "matrix"),
-        "observable": (Observable(S, Z, name="S_z"), "matrix"),
+        "observable": (Observable(S, Z), "matrix"),
     }[kind]
     for attr in value.__slots__:
         with pytest.raises(AttributeError, match=attr):
@@ -112,13 +112,13 @@ def test_states_reject_attribute_assignment_and_compare_by_identity(kind):
 def test_values_survive_copy_and_pickle(clone):
     assert clone(SD) == SD
     state = basis_state(SD, [0, 1])
-    obs = Observable(SD, np.diag([1.0, 1.0, 2.0, 3.0]), name="G")
+    obs = Observable(SD, np.diag([1.0, 1.0, 2.0, 3.0]))
     for value, name in ((state, "amplitudes"), (state.density(), "matrix"), (obs, "matrix")):
         twin = clone(value)
         assert twin.layout == value.layout
         assert np.array_equal(getattr(twin, name), getattr(value, name))
         assert not getattr(twin, name).flags.writeable
-    assert clone(obs).name == "G"
+    assert repr(clone(obs)) == repr(obs) == "Observable(dim=4)"
 
 
 # ------------------------------------------------------------ tensor_state
@@ -156,7 +156,7 @@ def test_tensor_rejects_duplicate_labels():
 # ---------------------------------------------------------- embed_operator
 
 def test_embed_sigma_z_on_first_factor():
-    op = Observable(S, Z, name="Z")
+    op = Observable(S, Z)
     out = embed_operator(op, ["S"], SD)
     assert np.allclose(out.matrix, np.kron(Z, np.eye(2)))
 
@@ -342,7 +342,7 @@ def test_projector_algebra(seed, n_factors):
 
 def test_expectation_of_conjugate_spin_on_pure_state():
     a1, a2 = 0.6, 0.8
-    sx = Observable(S, X / 2, name="S_x")
+    sx = Observable(S, X / 2)
     val = expectation(ket(S, [a1, a2]), sx)
     assert val == pytest.approx(a1 * a2, abs=1e-12)
 
@@ -350,7 +350,7 @@ def test_expectation_of_conjugate_spin_on_pure_state():
 def test_expectation_of_conjugate_spin_on_mixture():
     from qmeas.hilbert import DensityMatrix
 
-    sx = Observable(S, X / 2, name="S_x")
+    sx = Observable(S, X / 2)
     mix = DensityMatrix(S, np.diag([0.36, 0.64]))
     assert expectation(mix, sx) == pytest.approx(0.0, abs=1e-12)
 
@@ -465,7 +465,7 @@ def test_is_eigenstate_agrees_with_the_scalar_oracle(dim):
 # ------------------------------------------------------- outcome_distribution
 
 def test_outcome_distribution_born_weights():
-    sz = Observable(S, Z / 2, name="S_z")
+    sz = Observable(S, Z / 2)
     dist = outcome_distribution(ket(S, [0.6, 0.8]), sz)
     assert dist[0][0] == pytest.approx(-0.5)
     assert dist[0][1] == pytest.approx(0.64, abs=1e-12)

@@ -15,8 +15,13 @@ from qmeas.hilbert import (
 )
 from qmeas.ensembles import collapse_gemenge, run_ensemble
 from qmeas.model import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     branch_state,
+    conjugate_spin_matrix,
     decohere,
+    interference_matrix,
     interference_operator,
     measurement_chain_state,
     ms_layout,
@@ -257,12 +262,12 @@ def test_decohere_validates_arguments():
 
 def test_zoo_gamma_zero_matches_sx():
     z = zoo(SDO, gamma=0.0)
-    assert np.allclose(z["S_a"].matrix, z["S_x"].matrix, atol=1e-15)
+    assert np.array_equal(z["S_a"].matrix, z["S_x"].matrix)
 
 
 def test_zoo_trivial_direction_matches_v():
     z = zoo(SDO)
-    assert np.allclose(z["A"].matrix, z["V"].matrix, atol=1e-15)
+    assert np.array_equal(z["A"].matrix, z["V"].matrix)
 
 
 def test_zoo_interference_expectation_on_symmetric_chain():
@@ -300,4 +305,54 @@ def test_interference_operator_matches_outer_product_construction():
     e7[7] = 1.0
     direct = c1 * np.outer(e0, e7) + np.conj(c1) * np.outer(e7, e0)
     op = interference_operator(SDO, c1)
-    assert np.allclose(op.matrix, direct, atol=1e-15)
+    assert np.array_equal(op.matrix, direct)
+
+
+PHASES = [np.exp(1j * p) for p in (0.0, 0.7, math.pi / 2, 2.0, math.pi, 5.9)]
+
+
+@pytest.mark.parametrize(
+    "layout, factors, after",
+    [(SD, ("S", "D"), 1), (SDO, ("S", "D", "O"), 1), (SDO, ("S", "D"), 2),
+     (ms_layout(1), ("S", "D"), 4), (ms_layout(2), ("S", "D", "O"), 4)],
+    ids=["B_SD-on-SD", "B-on-SDO", "B_SD-on-SDO", "B_SD-on-SDOE1", "B-on-SDOE2"],
+)
+def test_interference_operator_is_the_kronecker_product_bit_for_bit(layout, factors, after):
+    # on its own factors (after = 1) no identity is added, and every bit of
+    # interference_matrix is kept
+    for c1 in PHASES:
+        op = interference_operator(layout, c1, factors=factors)
+        direct = np.kron(interference_matrix(c1, len(factors)), np.eye(after))
+        assert np.array_equal(op.matrix, direct)
+
+
+def _direct_zoo(labels, gamma):
+    """Every zoo member over ``labels``, as an explicit Kronecker product."""
+    single = {
+        "S": {"S_z": PAULI_Z / 2.0, "S_x": PAULI_X / 2.0, "S_y": PAULI_Y / 2.0,
+              "S_a": conjugate_spin_matrix(gamma)},
+        "D": {"Q": PAULI_Z, "Q_x": PAULI_X, "Q_y": PAULI_Y},
+        "O": {"V": PAULI_Z, "V_x": PAULI_X, "V_y": PAULI_Y, "A": PAULI_Z},
+    }
+    members = {}
+    for axis, label in enumerate(labels):
+        for name, matrix in single[label].items():
+            members[name] = np.kron(np.kron(np.eye(2**axis), matrix),
+                                    np.eye(2 ** (len(labels) - axis - 1)))
+    if labels[:2] == ("S", "D"):
+        rest = np.eye(2 ** (len(labels) - 2))
+        members["SzQ"] = np.kron(np.kron(PAULI_Z / 2.0, PAULI_Z), rest)
+        members["B_SD"] = np.kron(interference_matrix(1.0, 2), rest)
+    if labels == ("S", "D", "O"):
+        members["B"] = interference_matrix(1.0, 3)
+    return members
+
+
+@pytest.mark.parametrize("labels", [("S",), ("S", "D"), ("S", "D", "O")], ids="".join)
+@pytest.mark.parametrize("gamma", [0.0, 0.3, 2.0])
+def test_zoo_members_equal_their_kronecker_forms(labels, gamma):
+    z = zoo(SpaceLayout.of(*labels), gamma=gamma)
+    direct = _direct_zoo(labels, gamma)
+    assert set(z) == set(direct)
+    for name, matrix in direct.items():
+        assert np.array_equal(z[name].matrix, matrix), name

@@ -6,7 +6,7 @@ of ``_overlaps(matrices, s1, s2)`` must equal that one-row call on
 code with it, bit for bit: the scans report the phases and values it
 finds.  The scans evaluate the first half of the grid only and copy those
 values onto the second half (G(p + pi) = -G(p) for every scanned family);
-the near set of the copied extremum is scored again at its own phases and
+the near set of the copied minimum is scored again at its own phases and
 the refinement scores each pair of inner points in one call, so the
 reports equal the per-point loops of ``_oracle``.  The direction sweep of
 ``channel_information`` is one stacked call over its ``N_DIRECTIONS``
@@ -37,6 +37,7 @@ from qmeas.discrimination import (
 )
 from qmeas.hilbert import (
     DensityMatrix,
+    InvariantViolation,
     Observable,
     SpaceLayout,
     StateVector,
@@ -44,12 +45,34 @@ from qmeas.hilbert import (
     outcome_distribution,
     partial_trace,
 )
-from qmeas.model import PAULI_Z, conjugate_spin_matrix, interference_matrix, prepare_system
+from qmeas.model import (
+    PAULI_Z,
+    conjugate_spin_matrix,
+    decohere,
+    interference_matrix,
+    interference_operator,
+    prepare_system,
+)
 
 SQ2 = 1.0 / math.sqrt(2.0)
 GRID = np.linspace(0.0, 2.0 * math.pi, PHASE_GRID, endpoint=False)
-# seeded random complex amplitude pairs beyond the fixed ones of test_scan_engine
-RANDOM_PAIRS = [random_amplitude_pair(np.random.default_rng(seed)) for seed in (31, 47)]
+
+
+def _normalized(a1, a2):
+    norm = math.sqrt(abs(a1) ** 2 + abs(a2) ** 2)
+    return a1 / norm, a2 / norm
+
+
+# fixed amplitude pairs, "flat" with a1 a2 = 0 (every grid point ties), and
+# seeded random complex pairs
+AMPLITUDES = {
+    "real": _normalized(0.6, 0.8),
+    "complex": _normalized(0.28, 0.96j),
+    "complex_both": _normalized(0.3 + 0.4j, 0.5 - 0.5j),
+    "flat": _normalized(1.0, 0.0),
+    **{f"random{seed}": random_amplitude_pair(np.random.default_rng(seed))
+       for seed in (31, 47)},
+}
 
 
 # ------------------------------------------------------------ exact kernel
@@ -183,7 +206,7 @@ def test_scan_extremum_evaluates_the_first_half_then_the_near_set(dim):
         seen.append(phases.copy())
         return np.cos(2.0 * phases)
 
-    _scan_extremum(objective, minimize=True, dim=dim)
+    _scan_extremum(objective, dim=dim)
     assert PHASE_GRID % 2 == 0  # the second half copies the first
     rows = _batch_rows(dim * dim)
     half_batches = -(-(PHASE_GRID // 2) // rows)
@@ -205,7 +228,7 @@ def test_scan_extremum_picks_p_on_exact_ties_at_p_and_p_plus_pi():
         seen.append(phases.copy())
         return np.min((phases[:, None] - ties[None, :]) ** 2, axis=1)
 
-    phase, value = _scan_extremum(objective, minimize=True, dim=2)
+    phase, value = _scan_extremum(objective, dim=2)
     assert np.array_equal(seen[-(-(n // 2) // _batch_rows(4))], ties)
     assert abs(phase) < 2.0 * math.pi / n
     assert value == objective(np.array([phase]))[0]
@@ -225,13 +248,13 @@ def test_every_scan_runs_on_the_fixed_even_grid(name, monkeypatch):
     # first half of the PHASE_GRID grid in batches, then the near set
     seen, dims = [], []
 
-    def recording(objective, minimize, dim):
+    def recording(objective, dim):
         def wrapped(phases):
             seen.append(phases.copy())
             return objective(phases)
 
         dims.append(dim)
-        return _scan_extremum(wrapped, minimize=minimize, dim=dim)
+        return _scan_extremum(wrapped, dim=dim)
 
     monkeypatch.setattr(discrimination, "_scan_extremum", recording)
     _SCANS[name]()
@@ -241,14 +264,54 @@ def test_every_scan_runs_on_the_fixed_even_grid(name, monkeypatch):
     assert set(seen[half_batches]) <= set(GRID)
 
 
-@pytest.mark.parametrize("index", range(len(RANDOM_PAIRS)))
-def test_scans_equal_oracle_on_random_complex_pairs(index):
-    a = RANDOM_PAIRS[index]
+def test_scan_extremum_finds_a_second_half_value_below_its_mirrored_copy():
+    # the objective at pi lies 1e-15 below its copy from 0; both points fall in
+    # the near set, which is scored again at its own phases, so the scan
+    # refines around pi, as a point-by-point scan does
+    seen = []
+
+    def objective(phases):
+        seen.append(phases.copy())
+        return -np.abs(np.cos(phases)) - 1e-15 * (phases > 3.0)
+
+    phase, value = _scan_extremum(objective, dim=2)
+    half_batches = -(-(PHASE_GRID // 2) // _batch_rows(4))
+    assert np.array_equal(seen[half_batches], [0.0, math.pi])
+    assert abs(phase - math.pi) < 2.0 * math.pi / PHASE_GRID
+    assert value == objective(np.array([phase]))[0]
+
+
+def test_grid_tie_at_zero_and_pi_picks_zero():
+    # real amplitudes: K(phase) = K(phase + pi) ties grid points 0 and 1800
+    # exactly, and the scan must refine around the first, as the loop does
+    a = (0.6, 0.8)
+    pure, mixture = _oracle._chain_pair(a, "MS")
+    k_at_zero, k_at_pi = (
+        overlap(interference_operator(pure.layout, np.exp(1j * p)), pure, mixture)
+        for p in (GRID[0], GRID[PHASE_GRID // 2])
+    )
+    assert k_at_zero == k_at_pi
+    phase, k_min = interference_phase_scan(a, "MS")
+    assert min(phase, 2.0 * math.pi - phase) < 2.0 * math.pi / PHASE_GRID
+    assert (phase, k_min) == _oracle.interference_phase_scan(a, "MS")
+
+
+@pytest.mark.parametrize("name", list(AMPLITUDES))
+def test_scans_equal_oracle_on_amplitude_pairs(name):
+    a = AMPLITUDES[name]
     rho_s = prepare_system(*a)
     assert optimal_phase(rho_s) == _oracle.optimal_phase(rho_s)
     for scope in ("MS", "SD"):
         assert interference_phase_scan(a, scope) == _oracle.interference_phase_scan(a, scope)
     assert channel_information(a) == _oracle.channel_information(a)
+
+
+@pytest.mark.parametrize("env_overlap", [0.0, 0.4])
+def test_optimal_phase_on_mixed_states_equals_oracle(env_overlap):
+    # env_overlap 0 leaves the maximally mixed, indeterminate case
+    tagged = decohere(prepare_system(0.6, 0.8j), 3, env_overlap, control_label="S")
+    rho_s = partial_trace(tagged, ["S"])
+    assert optimal_phase(rho_s) == _oracle.optimal_phase(rho_s)
 
 
 # ------------------------------------------------------------ direction sweep
@@ -262,4 +325,19 @@ def test_direction_sweep_equals_the_whole_array_minimum(a):
     directions = _sphere_rows(N_DIRECTIONS, 0, N_DIRECTIONS)
     matrices = np.einsum("nk,kab->nab", directions, _POINTER_BASIS)
     whole = min(1.0, float(_overlaps(matrices, pure_d, mixed_d).min()))
-    assert channel_information(a).post_channel_k_min == whole
+    *_, post_k_min = channel_information(a)
+    assert post_k_min == whole
+
+
+# ------------------------------------------------------------ input gates
+
+def test_overlap_kernel_rejects_non_hermitian_stack():
+    matrices = np.stack([PAULI_Z, np.array([[0, 1], [0, 0]], dtype=complex)])
+    with pytest.raises(InvariantViolation, match="Hermitian"):
+        _overlaps(matrices, prepare_system(1, 0), prepare_system(0, 1))
+
+
+def test_overlap_kernel_rejects_mismatched_layouts():
+    with pytest.raises(ValueError, match="layout"):
+        _overlaps(np.eye(2)[None], prepare_system(1, 0),
+                  StateVector(SpaceLayout.of("D"), [1, 0]))
