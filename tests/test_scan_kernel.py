@@ -296,14 +296,21 @@ def test_grid_tie_at_zero_and_pi_picks_zero():
     assert (phase, k_min) == _oracle.interference_phase_scan(a, "MS")
 
 
+# each scan of the package and its per-point loop in _oracle, on one pair
+_ORACLE_SCANS = {
+    "optimal_phase": lambda m, a: m.optimal_phase(prepare_system(*a)),
+    "interference_MS": lambda m, a: m.interference_phase_scan(a, "MS"),
+    "interference_SD": lambda m, a: m.interference_phase_scan(a, "SD"),
+    "channel_information": lambda m, a: m.channel_information(a),
+}
+
+
+@pytest.mark.parametrize("scan", list(_ORACLE_SCANS))
 @pytest.mark.parametrize("name", list(AMPLITUDES))
-def test_scans_equal_oracle_on_amplitude_pairs(name):
+def test_scans_equal_oracle_on_amplitude_pairs(name, scan):
     a = AMPLITUDES[name]
-    rho_s = prepare_system(*a)
-    assert optimal_phase(rho_s) == _oracle.optimal_phase(rho_s)
-    for scope in ("MS", "SD"):
-        assert interference_phase_scan(a, scope) == _oracle.interference_phase_scan(a, scope)
-    assert channel_information(a) == _oracle.channel_information(a)
+    run = _ORACLE_SCANS[scan]
+    assert run(discrimination, a) == run(_oracle, a)
 
 
 @pytest.mark.parametrize("env_overlap", [0.0, 0.4])
