@@ -157,7 +157,7 @@ def _load_config_file(path: str) -> dict:
 def resolve_config(args: argparse.Namespace) -> tuple[ExperimentConfig, list[str]]:
     """Merge defaults, config file, environment seed, and flags (flag wins)."""
     values: dict = {}
-    if args.config:
+    if args.config is not None:  # an empty path is a missing file, not "no file"
         values.update(_load_config_file(args.config))
 
     if "rng_seed" not in values and os.environ.get(SEED_ENV_VAR):
@@ -211,6 +211,8 @@ def resolve_config(args: argparse.Namespace) -> tuple[ExperimentConfig, list[str
         raise ConfigError("env_overlap must lie in [0, 1]")
     if config.output_format not in ("json", "csv"):
         raise ConfigError("output_format must be 'json' or 'csv'")
+    if config.output_path == "":
+        raise ConfigError("output_path must name a file; omit it to write to stdout")
     sections = {section for section, _ in _SECTIONS[args.command]}
     if "nogo" in sections and config.n_events < MIN_NOGO_SAMPLES:
         raise ConfigError(

@@ -100,13 +100,15 @@ def _left_to_right(terms):
 
 
 def _overlaps(matrices: np.ndarray, state1: State, state2: State) -> np.ndarray:
-    """K under each matrix of a Hermitian stack; the one K kernel, ``overlap`` included.
+    """K under each matrix of an exactly Hermitian stack; the one K kernel, ``overlap`` too.
 
     ``grouped_spectra`` gives the group projectors of the rows that share
     one group structure; each row then takes the checked Born weights of
     ``outcome_weights`` on them and a left-to-right sum of min(w1, w2) over
     the groups.  Row n therefore does not depend on the other rows of the
-    stack.
+    stack.  The stack itself is not checked: ``overlap`` passes an
+    ``Observable`` matrix, gated when built, and the scans pass families
+    that are Hermitian by construction.
     """
     require_same_layout(state1, state2)
     k = np.empty(len(matrices))
@@ -122,8 +124,9 @@ def _single_qubit(state: State) -> None:
 
 
 def _spin_expectations(rho_s: State, gamma) -> np.ndarray:
-    """<S_a(gamma)> at a phase or each of an array, through ``expectation``'s Born form."""
-    return born(checked_hermitian(conjugate_spin_matrix(gamma)), rho_s)
+    """<S_a(gamma)> at a phase or each of an array, through ``expectation``'s Born form;
+    ``conjugate_spin_matrix`` is exactly Hermitian, so nothing is checked here."""
+    return born(conjugate_spin_matrix(gamma), rho_s)
 
 
 def purity_rate(rho_s: State, gamma: float) -> float:

@@ -11,7 +11,9 @@ simplicity.
 is its one-row call, and the overlap kernel of :mod:`qmeas.discrimination`
 runs it on whole stacks.  ``eigen_residuals`` is the one eigenstate test in
 the same way: ``is_eigenstate`` is its one-row call, and the no-go engine
-runs it on whole batches of candidates.
+runs it on whole batches of candidates.  Hermiticity is checked where a
+matrix enters, in ``Observable`` construction; the scanned families of
+:mod:`qmeas.model` are exactly Hermitian by construction, and go unchecked.
 
 All operations are pure functions on immutable values (arrays are frozen at
 construction), so they are safe to call from concurrent contexts.
@@ -220,16 +222,17 @@ def checked_hermitian(matrices: np.ndarray) -> np.ndarray:
 
 
 def grouped_spectra(matrices: np.ndarray):
-    """Hermiticity gate, one stacked ``eigh`` and eigenvalue groups of a stack of matrices.
+    """One stacked ``eigh`` and the eigenvalue groups of an exactly Hermitian stack.
 
-    Ascending l_k joins the group of l_(k-1) when
-    l_k - l_(k-1) <= EIG_GROUP_RTOL * max(1, |l_(k-1)|).  Yields
+    The stack is not checked: its rows are gated ``Observable`` matrices or
+    scanned families, Hermitian by construction.  Ascending l_k joins the
+    group of l_(k-1) when l_k - l_(k-1) <= EIG_GROUP_RTOL * max(1, |l_(k-1)|).  Yields
     (rows, values, cuts, projectors) for the rows sharing one group structure
     (the first remaining row's, until none remain): group g holds
     ``values[:, cuts[g]:cuts[g + 1]]``, and projectors[g, n] = B B^H over its
     eigenvectors B in row n, which depends on no other row.
     """
-    values, vectors = np.linalg.eigh(checked_hermitian(matrices))
+    values, vectors = np.linalg.eigh(matrices)
     before = values[:, :-1]
     joined = values[:, 1:] - before <= EIG_GROUP_RTOL * np.maximum(1.0, abs(before))
     rest = np.arange(len(values))

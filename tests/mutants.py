@@ -97,6 +97,17 @@ MUTANTS = (
         (SCAN_KERNEL,),
         host_dependent=True,
     ),
+    # the scanned families, which the K kernel takes without a Hermiticity gate
+    Mutant(
+        "interference-corner-unconjugated", "model.py",
+        "matrix[..., dim - 1, 0] = c1.conj()", "matrix[..., dim - 1, 0] = c1",
+        (f"{SCAN_KERNEL}::test_scanned_families_are_exactly_hermitian",),
+    ),
+    Mutant(
+        "conjugate-spin-anti-hermitian", "model.py",
+        "(cos * PAULI_X + sin * PAULI_Y) / 2.0", "(cos * PAULI_X + 1j * sin * PAULI_Y) / 2.0",
+        (f"{SCAN_KERNEL}::test_scanned_families_are_exactly_hermitian",),
+    ),
     # the sampler's integer branch threshold and its keys
     Mutant(
         "threshold-floor", "ensembles.py",

@@ -400,6 +400,19 @@ def test_directory_out_path_exits_one_and_stays_empty(tmp_path, capsys):
     assert list(target.iterdir()) == []
 
 
+@pytest.mark.parametrize("source", ["config-flag", "out-flag", "config-key"])
+def test_empty_path_exits_one_without_report(source, tmp_path, capsys):
+    # an empty path is given, not left out: it must not send the report to stdout
+    config = tmp_path / "config.json"
+    config.write_text('{"output_path": ""}', encoding="utf-8")
+    flags = {"config-flag": ["--config", ""], "out-flag": ["--out", ""],
+             "config-key": ["--config", str(config)]}[source]
+    rc, out, err = run_main(["simulate", "--events", "10", *flags], capsys)
+    assert (rc, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("qmeas: error: ")
+    assert "Traceback" not in err
+
+
 def test_failed_replace_keeps_old_file_and_leaves_no_partial_file(
     tmp_path, capsys, monkeypatch
 ):

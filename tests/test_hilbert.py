@@ -536,10 +536,12 @@ def test_density_matrix_rejects_wrong_trace():
 # ------------------------------------------------------------ NaN at the gates
 
 def _nan_inputs():
-    from qmeas.discrimination import forcing_check, nogo_search
+    from qmeas.discrimination import forcing_check, nogo_search, purity_rate
     from qmeas.ensembles import Gemenge
     from qmeas.hilbert import DensityMatrix, checked_hermitian
-    from qmeas.model import branch_state, interference_matrix, measurement_chain_state
+    from qmeas.model import (
+        branch_state, interference_matrix, measurement_chain_state, prepare_system,
+    )
 
     nan = float("nan")
     psi = measurement_chain_state(0.6, 0.8)
@@ -554,6 +556,8 @@ def _nan_inputs():
         "is_eigenstate_tol": lambda: is_eigenstate(Observable(S, Z), ket(S, [1, 0]), tol=nan),
         "forcing_check_tol": lambda: forcing_check(chain, tol=nan),
         "nogo_search_tol": lambda: nogo_search("O", chain, 10_000, tol=nan),
+        # no gate checks S_a; the Born form's imaginary-residue check rejects it
+        "purity_rate_phase": lambda: purity_rate(prepare_system(0.6, 0.8), nan),
     }
 
 

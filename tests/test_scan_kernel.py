@@ -10,7 +10,8 @@ the near set of the copied minimum is scored again at its own phases and
 the refinement scores each pair of inner points in one call, so the
 reports equal the per-point loops of ``_oracle``.  The direction sweep of
 ``channel_information`` is one stacked call over its ``N_DIRECTIONS``
-directions.
+directions.  The kernel runs no Hermiticity gate, so every scanned family
+must be one that the gate returns bit for bit.
 """
 
 import math
@@ -37,11 +38,11 @@ from qmeas.discrimination import (
 )
 from qmeas.hilbert import (
     DensityMatrix,
-    InvariantViolation,
     Observable,
     SpaceLayout,
     StateVector,
     born,
+    checked_hermitian,
     outcome_distribution,
     partial_trace,
 )
@@ -336,13 +337,36 @@ def test_direction_sweep_equals_the_whole_array_minimum(a):
     assert post_k_min == whole
 
 
+# ------------------------------------------------------------ exactly Hermitian families
+
+# the kernels run no Hermiticity gate: every stack they are given must be
+# one the gate returns bit for bit, signs of zero included
+_FAMILIES = {
+    "conjugate_spin": conjugate_spin_matrix,
+    "interference_SD": lambda phases: interference_matrix(np.exp(1j * phases), 2),
+    "interference_SDO": lambda phases: interference_matrix(np.exp(1j * phases), 3),
+}
+
+
+def _assert_gate_returns_its_input(stack):
+    assert checked_hermitian(stack).tobytes() == stack.tobytes()
+
+
+@pytest.mark.parametrize("family", list(_FAMILIES))
+def test_scanned_families_are_exactly_hermitian(family):
+    # the grid, the refinement's offsets around it and seeded random phases
+    step = GRID[1]
+    random = np.random.default_rng(61).uniform(-math.pi, 3.0 * math.pi, 2000)
+    phases = np.concatenate([GRID, GRID - step / 3.0, GRID + step / 3.0, random])
+    _assert_gate_returns_its_input(_FAMILIES[family](phases))
+
+
+def test_direction_sweep_stack_is_exactly_hermitian():
+    directions = _sphere_rows(N_DIRECTIONS, 0, N_DIRECTIONS)
+    _assert_gate_returns_its_input(np.einsum("nk,kab->nab", directions, _POINTER_BASIS))
+
+
 # ------------------------------------------------------------ input gates
-
-def test_overlap_kernel_rejects_non_hermitian_stack():
-    matrices = np.stack([PAULI_Z, np.array([[0, 1], [0, 0]], dtype=complex)])
-    with pytest.raises(InvariantViolation, match="Hermitian"):
-        _overlaps(matrices, prepare_system(1, 0), prepare_system(0, 1))
-
 
 def test_overlap_kernel_rejects_mismatched_layouts():
     with pytest.raises(ValueError, match="layout"):
