@@ -39,6 +39,7 @@ from .discrimination import (
     matched_pair,
     nogo_search,
     optimal_phase,
+    out_of_regime,
     overlap,
     purity_rate,
 )
@@ -254,17 +255,6 @@ def _config_echo(config: ExperimentConfig) -> dict:
     }
 
 
-def empty_report(config: ExperimentConfig, command: str) -> dict:
-    report = {
-        "schema": "qmeas-report/1",
-        "command": command,
-        "config": _config_echo(config),
-    }
-    for section in REPORT_SECTIONS:
-        report[section] = None
-    return report
-
-
 def _frequency_section(config: ExperimentConfig, *_) -> dict:
     report = run_ensemble(config.a1, config.a2, config.n_events, seed=config.rng_seed)
     branches = []
@@ -415,19 +405,21 @@ def _verdict_dict(verdict, forcing: dict | None) -> dict:
     }
 
 
-def _nogo_section(config: ExperimentConfig, warn, _channel) -> dict:
+def _chain_states(config: ExperimentConfig) -> tuple:
+    """The chain state and its two branch states, the triple ``out_of_regime`` reads."""
     layout = ms_layout()
-    states = (
-        measurement_chain_state(config.a1, config.a2),
-        branch_state(1, layout),
-        branch_state(2, layout),
-    )
+    return (measurement_chain_state(config.a1, config.a2),
+            branch_state(1, layout), branch_state(2, layout))
+
+
+def _nogo_section(config: ExperimentConfig, warn, _channel) -> dict:
+    states = _chain_states(config)
     verdicts = {
         scope: nogo_search(scope, states, config.n_events, seed=config.rng_seed)
         for scope in ("O", "D", "MS")
     }
     forcing = None
-    if all(verdict.out_of_regime for verdict in verdicts.values()):
+    if out_of_regime(states):
         warn(f"|a1 a2| <= {DEGENERATE_AMPLITUDE:g}: out of the no-go regime, scans are skipped")
     else:
         # the forcing identity depends on the states alone: one check serves every scope
@@ -438,15 +430,14 @@ def _nogo_section(config: ExperimentConfig, warn, _channel) -> dict:
 
 def _decoherence_section(config: ExperimentConfig, *_) -> dict:
     predicted = config.env_overlap**config.n_env
-    chains = [measurement_chain_state(*a) for a in ((config.a1, config.a2), (1, 0), (0, 1))]
+    states = _chain_states(config)
+    chains = [states[0], *(measurement_chain_state(*a) for a in ((1, 0), (0, 1)))]
     reduced, *branches = (
         partial_trace(decohere(chain, config.n_env, config.env_overlap), ["S", "D", "O"])
         for chain in chains
     )
     coherence = coherence_imag = None
-    # <b1|psi><b2|psi> of the chain state, the product nogo_search tests
-    psi = chains[0].amplitudes
-    if abs(complex(psi[0]) * complex(psi[-1])) > DEGENERATE_AMPLITUDE:
+    if not out_of_regime(states):
         factor = reduced.matrix[0, 7] / (config.a1 * np.conj(config.a2))
         coherence = metric(factor.real, target=predicted, tolerance=1e-10)
         coherence_imag = metric(factor.imag, target=0.0, tolerance=1e-10)
@@ -480,20 +471,17 @@ _SECTIONS["all"] = sum(_SECTIONS.values(), ())  # every other command's sections
 REPORT_SECTIONS = tuple(section for section, _ in _SECTIONS["all"])
 
 
-def _command(name: str):
-    """The ``(config, warn) -> report`` runner of one command."""
-
-    def run(config: ExperimentConfig, warn) -> dict:
-        report = empty_report(config, name)
-        channel = functools.cache(lambda: channel_information((config.a1, config.a2)))
-        for section, builder in _SECTIONS[name]:
-            report[section] = builder(config, warn, channel)
-        return report
-
-    return run
+def _run(command: str, config: ExperimentConfig, warn) -> dict:
+    """The report of ``command``: its sections in report order, every other one null."""
+    report = {"schema": "qmeas-report/1", "command": command, "config": _config_echo(config),
+              **dict.fromkeys(REPORT_SECTIONS)}
+    channel = functools.cache(lambda: channel_information((config.a1, config.a2)))
+    for section, builder in _SECTIONS[command]:
+        report[section] = builder(config, warn, channel)
+    return report
 
 
-_COMMANDS = {name: _command(name) for name in _SECTIONS}
+_COMMANDS = {name: functools.partial(_run, name) for name in _SECTIONS}
 
 
 # ------------------------------------------------------------- serialization

@@ -291,6 +291,13 @@ def _branch_amplitudes(states: tuple[StateVector, StateVector, StateVector]):
             complex(np.vdot(b2.amplitudes, psi.amplitudes)))
 
 
+def out_of_regime(states: tuple[StateVector, StateVector, StateVector]) -> bool:
+    """The one regime rule: |<b1|psi><b2|psi>| <= DEGENERATE_AMPLITUDE for the triple
+    (psi, b1, b2), a branch amplitude vanishes and the no-go result does not hold."""
+    a1, a2 = _branch_amplitudes(states)
+    return abs(a1 * a2) <= DEGENERATE_AMPLITUDE
+
+
 def forcing_check(
     states: tuple[StateVector, StateVector, StateVector],
     n_samples: int = 1000,
@@ -367,9 +374,8 @@ def nogo_search(
     if not tol > 0:  # NaN fails too
         raise ValueError("tol must be positive")
     psi, b1, b2 = states
-    a1, a2 = _branch_amplitudes(states)
     vectors = np.stack([psi.amplitudes, b1.amplitudes, b2.amplitudes])
-    if abs(a1 * a2) <= DEGENERATE_AMPLITUDE:
+    if out_of_regime(states):
         return DiscriminationVerdict(
             family_description=(
                 f"scope {layout_scope}: skipped, branch amplitude vanishes "

@@ -285,24 +285,24 @@ def basis_state(layout: SpaceLayout, occupations: Sequence[int]) -> StateVector:
 
 
 def embed_operator(
-    op: Observable, target_labels: Sequence[str], layout: SpaceLayout
+    matrix, target_labels: Sequence[str], layout: SpaceLayout
 ) -> Observable:
-    """Lift ``op`` to ``layout``: acts as ``op`` on the targets, identity elsewhere.
+    """Lift ``matrix`` to a gated ``Observable`` on ``layout``, identity off the targets.
 
-    ``target_labels`` name the factors of ``layout`` onto which the factors of
-    ``op`` map, in order.
+    ``target_labels`` name the factors of ``layout`` onto which the qubit
+    factors of ``matrix`` (2^len(targets) square) map, in order.
     """
     targets = list(target_labels)
-    if len(targets) != op.layout.n_factors:
+    if np.shape(matrix) != (2 ** len(targets),) * 2:
         raise ValueError(
-            f"operator has {op.layout.n_factors} factors but {len(targets)} targets given"
+            f"matrix has shape {np.shape(matrix)} but {len(targets)} targets given"
         )
     if len(set(targets)) != len(targets):
         raise ValueError("target labels must be distinct")
     for label in targets:
         layout.axis(label)  # raises on unknown labels
     rest = [label for label in layout.labels if label not in set(targets)]
-    big = np.kron(op.matrix, np.eye(2 ** len(rest), dtype=np.complex128))
+    big = np.kron(matrix, np.eye(2 ** len(rest), dtype=np.complex128))
     # `big` is ordered targets + rest; permute the factor axes to layout order
     order = targets + rest
     source = {label: i for i, label in enumerate(order)}

@@ -203,8 +203,7 @@ def interference_operator(
 
     Rejects |c1| != 1.
     """
-    op = Observable(SpaceLayout.of(*factors), interference_matrix(c1, len(factors)))
-    return embed_operator(op, list(factors), layout)
+    return embed_operator(interference_matrix(c1, len(factors)), factors, layout)
 
 
 def zoo(layout: SpaceLayout, gamma: float = 0.0) -> Mapping[str, Observable]:
@@ -218,8 +217,7 @@ def zoo(layout: SpaceLayout, gamma: float = 0.0) -> Mapping[str, Observable]:
     members: dict[str, Observable] = {}
 
     def put(name: str, matrix: np.ndarray, *targets: str) -> None:
-        op = Observable(SpaceLayout.of(*targets), matrix)
-        members[name] = embed_operator(op, targets, layout)
+        members[name] = embed_operator(matrix, targets, layout)
 
     if SYSTEM in labels:
         put("S_z", PAULI_Z / 2.0, SYSTEM)
@@ -237,11 +235,9 @@ def zoo(layout: SpaceLayout, gamma: float = 0.0) -> Mapping[str, Observable]:
         put("A", PAULI_Z, OBSERVER)
     if SYSTEM in labels and DETECTOR in labels:
         put("SzQ", np.kron(PAULI_Z / 2.0, PAULI_Z), SYSTEM, DETECTOR)
-        members["B_SD"] = interference_operator(
-            layout, 1.0, factors=(SYSTEM, DETECTOR)
-        )
+        put("B_SD", interference_matrix(1.0, 2), SYSTEM, DETECTOR)
     if labels.issuperset(CHAIN_LABELS):
-        members["B"] = interference_operator(layout, 1.0, factors=CHAIN_LABELS)
+        put("B", interference_matrix(1.0, 3), *CHAIN_LABELS)
 
     return MappingProxyType(members)
 

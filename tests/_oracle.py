@@ -183,15 +183,12 @@ def nogo_search(layout_scope, states, n_candidates, tol=DEFAULT_EIGENSTATE_TOL, 
     def candidates():
         if layout_scope in ("O", "D"):
             label = OBSERVER if layout_scope == "O" else DETECTOR
-            sub = SpaceLayout.of(label)
             for row in _sphere_rows(n_grid, 0, n_grid):
-                op = Observable(sub, _pointer_algebra_matrix(row))
-                yield embed_operator(op, [label], psi.layout), tuple(row)
+                yield embed_operator(_pointer_algebra_matrix(row), [label], psi.layout), tuple(row)
             for _ in range(n_random):
                 row = rng.normal(size=3)
                 row /= np.linalg.norm(row)
-                op = Observable(sub, _pointer_algebra_matrix(row))
-                yield embed_operator(op, [label], psi.layout), tuple(row)
+                yield embed_operator(_pointer_algebra_matrix(row), [label], psi.layout), tuple(row)
         else:
             structured = dict(zoo(psi.layout))
             structured["I"] = Observable(psi.layout, np.eye(dim))

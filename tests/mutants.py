@@ -161,6 +161,12 @@ MUTANTS = (
         ("tests/test_nogo_engine.py"
          "::test_batch_rows_holds_at_most_4096_entries_and_at_least_one_row",),
     ),
+    # the embedding's shape check
+    Mutant(
+        "embed-shape-unchecked", "hilbert.py",
+        "if np.shape(matrix) != (2 ** len(targets),) * 2:", "if False:",
+        ("tests/test_hilbert.py::test_embed_rejects_a_matrix_not_sized_to_its_targets",),
+    ),
     # the public-name list
     Mutant(
         "all-keeps-modules", "__init__.py",
@@ -207,8 +213,9 @@ MUTANTS = (
         (COMMAND_CHECKS,),
     ),
     Mutant(
-        "null-on-config-amplitudes", "cli.py",
-        "if abs(complex(psi[0]) * complex(psi[-1])) > DEGENERATE_AMPLITUDE:",
+        # the regime rule copied back into the decoherence section, on the config
+        "decoherence-null-on-config-amplitudes", "cli.py",
+        "if not out_of_regime(states):",
         "if abs(config.a1 * config.a2) > DEGENERATE_AMPLITUDE:",
         ("tests/test_cli.py::test_coherence_factor_is_null_exactly_out_of_the_no_go_regime",),
     ),

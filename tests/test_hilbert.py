@@ -156,14 +156,12 @@ def test_tensor_rejects_duplicate_labels():
 # ---------------------------------------------------------- embed_operator
 
 def test_embed_sigma_z_on_first_factor():
-    op = Observable(S, Z)
-    out = embed_operator(op, ["S"], SD)
+    out = embed_operator(Z, ["S"], SD)
     assert np.allclose(out.matrix, np.kron(Z, np.eye(2)))
 
 
 def test_embed_identity_gives_identity():
-    op = Observable(S, np.eye(2))
-    out = embed_operator(op, ["D"], SD)
+    out = embed_operator(np.eye(2), ["D"], SD)
     assert np.allclose(out.matrix, np.eye(4))
 
 
@@ -176,23 +174,38 @@ def test_embed_sigma_x_on_middle_factor_expectation():
     raw = np.kron(np.eye(2), np.kron(X, np.eye(2)))
     assert abs(np.vdot(amps, raw @ amps)) < 1e-12
 
-    out = embed_operator(Observable(SpaceLayout.of("D"), X), ["D"], SDO)
+    out = embed_operator(X, ["D"], SDO)
     assert abs(expectation(psi, out)) <= 1e-12
 
 
 def test_embed_preserves_placement_for_permuted_targets():
     rng = np.random.default_rng(7)
-    op2 = Observable(SD, random_hermitian(rng, 4))
+    matrix = random_hermitian(rng, 4)
     # embedding on (D, S) must transpose the two-factor operator
-    swapped = embed_operator(op2, ["D", "S"], SD)
-    tensor = op2.matrix.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+    swapped = embed_operator(matrix, ["D", "S"], SD)
+    tensor = matrix.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
     assert np.allclose(swapped.matrix, tensor)
 
 
 def test_embed_unknown_label_raises():
-    op = Observable(S, Z)
     with pytest.raises(ValueError, match="no factor"):
-        embed_operator(op, ["X"], SD)
+        embed_operator(Z, ["X"], SD)
+
+
+@pytest.mark.parametrize("matrix, targets", [
+    (np.eye(4), ["S"]),          # two qubits' worth onto one target
+    (Z, ["S", "D"]),             # one qubit's worth onto two targets
+    (np.eye(2)[:, :1], ["S"]),   # not square
+    (np.ones(2), ["S"]),         # not a matrix
+])
+def test_embed_rejects_a_matrix_not_sized_to_its_targets(matrix, targets):
+    with pytest.raises(ValueError, match="targets given"):
+        embed_operator(matrix, targets, SD)
+
+
+def test_embed_rejects_a_non_hermitian_matrix_at_the_observable_gate():
+    with pytest.raises(InvariantViolation, match="observable matrix is not Hermitian"):
+        embed_operator(np.array([[0, 1], [0, 0]]), ["D"], SDO)
 
 
 # ------------------------------------------------------------ partial_trace

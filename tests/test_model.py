@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qmeas.hilbert import (
     InvariantViolation,
+    Observable,
     SpaceLayout,
     expectation,
     is_eigenstate,
@@ -289,6 +290,21 @@ def test_zoo_membership_follows_layout():
     assert "V" not in z and "B" not in z
     with pytest.raises(KeyError):
         z["B"]
+
+
+def test_zoo_builds_one_observable_per_member(monkeypatch):
+    # each member passes the Hermiticity gate once, on the target layout
+    layouts = []
+    init = Observable.__init__
+
+    def counted(self, layout, matrix):
+        layouts.append(layout)
+        init(self, layout, matrix)
+
+    monkeypatch.setattr(Observable, "__init__", counted)
+    members = zoo(ms_layout())
+    assert len(layouts) == len(members) == 14
+    assert set(layouts) == {ms_layout()}
 
 
 def test_interference_operator_rejects_inconsistent_phases():
