@@ -464,7 +464,7 @@ def interference_analysis(
     if scope not in ("MS", "SD"):
         raise ValueError("scope must be 'MS' or 'SD'")
     pure, mixture = matched_pair(a, scope)
-    op = interference_operator(pure.layout, c1, factors=pure.layout.labels)
+    op = interference_operator(pure.layout, c1)
     return (op.eigenvalues, expectation(pure, op), expectation(mixture, op),
             overlap(op, pure, mixture))
 
@@ -499,7 +499,7 @@ def channel_information(a: tuple[complex, complex]) -> tuple[float, float, float
     Fibonacci sphere after premeasurement, scored in one stacked call (one:
     nothing about purity arrives).
     """
-    sz = zoo(SpaceLayout.of("S"))["S_z"]
+    sz = Observable(SpaceLayout.of("S"), PAULI_Z / 2.0)
     k_sz = overlap(sz, prepare_system(1, 0), prepare_system(0, 1))
 
     pure, mixture = matched_pair(a, "S")

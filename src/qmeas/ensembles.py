@@ -27,7 +27,7 @@ from .hilbert import (
     basis_state,
     partial_trace,
 )
-from .model import OBSERVER, branch_state, is_env_label
+from .model import OBSERVER, branch_state
 
 ATOL_PROBABILITY = 1e-12
 ATOL_BRANCH_SUPPORT = 1e-9
@@ -157,14 +157,9 @@ def restrict_statistical(state: StateVector | DensityMatrix) -> DensityMatrix:
 
 
 def _branch_weights(state: StateVector) -> tuple[float, float]:
-    layout = state.layout
-    if any(is_env_label(label) for label in layout.labels):
-        raise ValueError(
-            "stochastic restriction is defined on chain factors only; "
-            "trace out the environment first"
-        )
-    c1 = np.vdot(branch_state(1, layout).amplitudes, state.amplitudes)
-    c2 = np.vdot(branch_state(2, layout).amplitudes, state.amplitudes)
+    # branch_state rejects a layout with environment factors
+    c1 = np.vdot(branch_state(1, state.layout).amplitudes, state.amplitudes)
+    c2 = np.vdot(branch_state(2, state.layout).amplitudes, state.amplitudes)
     p1, p2 = abs(c1) ** 2, abs(c2) ** 2
     if abs(p1 + p2 - 1.0) > ATOL_BRANCH_SUPPORT:
         raise ValueError(

@@ -3,16 +3,17 @@
 Basis conventions, fixed once so amplitude layouts are bit-exact in tests:
 the first basis vector of every factor carries branch 1 and the second
 branch 2; the factor order is system, detector, observer, then environment
-qubits.  Spin components on the system are Pauli matrices over two
-(eigenvalues +-1/2); pointer observables on the detector and observer are
-Pauli-normalized (eigenvalues +-1), branch 1 mapping to +1.
+qubits, which only ``decohere`` appends.  Spin components on the system are
+Pauli matrices over two (eigenvalues +-1/2); pointer observables on the
+detector and observer are Pauli-normalized (eigenvalues +-1), branch 1
+mapping to +1.
 """
 
 from __future__ import annotations
 
 import math
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -50,21 +51,9 @@ _CONTROLLED_FLIP = np.array(
 _PREMEASURE_UNITARY = _CONTROLLED_FLIP @ np.kron(np.eye(2), _HADAMARD)
 
 
-def env_label(j: int) -> str:
-    """Label of the j-th environment qubit, counted from 1."""
-    return f"E{j}"
-
-
-def is_env_label(label: str) -> bool:
-    return label not in CHAIN_LABELS
-
-
-def ms_layout(n_env: int = 0) -> SpaceLayout:
-    """Layout of the full chain with ``n_env`` trailing environment qubits."""
-    if n_env < 0:
-        raise ValueError("n_env must be >= 0")
-    labels = list(CHAIN_LABELS) + [env_label(j) for j in range(1, n_env + 1)]
-    return SpaceLayout.of(*labels)
+def ms_layout() -> SpaceLayout:
+    """Layout of the full chain: system, detector, observer."""
+    return SpaceLayout.of(*CHAIN_LABELS)
 
 
 def prepare_system(a1: complex, a2: complex) -> StateVector:
@@ -106,36 +95,22 @@ def premeasure(state: StateVector, source_label: str, pointer_label: str) -> Sta
     return StateVector(layout, tensor.reshape(-1))
 
 
-def _env_branch_vector(branch: int, env_overlap: float) -> np.ndarray:
-    if branch == 1:
-        return np.array([1.0, 0.0], dtype=np.complex128)
-    return np.array(
-        [env_overlap, math.sqrt(max(0.0, 1.0 - env_overlap**2))], dtype=np.complex128
-    )
+def branch_state(branch: int, layout: SpaceLayout) -> StateVector:
+    """Product state of one measurement branch: each factor in its branch basis vector.
 
-
-def branch_state(
-    branch: int, layout: SpaceLayout, env_overlap: float | None = None
-) -> StateVector:
-    """Product state of one measurement branch over all factors of ``layout``.
-
-    Chain factors take their branch basis vector; environment factors take
-    the branch environment state, which requires ``env_overlap``.
+    Rejects environment factors, which only ``decohere`` appends: the
+    environment-tagged branch is
+    ``decohere(branch_state(branch, ms_layout()), n_env, env_overlap)``.
     """
     if branch not in (1, 2):
         raise ValueError("branch must be 1 or 2")
-    parts: list[StateVector] = []
-    for label, _ in layout.factors:
-        sub = SpaceLayout.of(label)
-        if is_env_label(label):
-            if env_overlap is None:
-                raise ValueError(
-                    f"layout contains environment factor {label!r}; env_overlap required"
-                )
-            parts.append(StateVector(sub, _env_branch_vector(branch, env_overlap)))
-        else:
-            parts.append(basis_state(sub, [branch - 1]))
-    return tensor_state(parts)
+    for label in layout.labels:
+        if label not in CHAIN_LABELS:
+            raise ValueError(
+                f"layout contains environment factor {label!r}; "
+                "environment factors are appended by decohere"
+            )
+    return basis_state(layout, [branch - 1] * layout.n_factors)
 
 
 def decohere(
@@ -157,15 +132,17 @@ def decohere(
         raise ValueError("env_overlap must lie in [0, 1]")
     layout = state.layout
     control_axis = layout.axis(control_label)
-    new_labels = [env_label(j) for j in range(1, n_env + 1)]
+    new_labels = [f"E{j}" for j in range(1, n_env + 1)]
     for label in new_labels:
         if label in layout.labels:
             raise ValueError(f"layout already contains environment factor {label!r}")
     target = SpaceLayout(tuple(layout.factors) + tuple((lab, 2) for lab in new_labels))
 
+    # the environment qubit state of branch 1, then of branch 2
+    envs = np.array([[1.0, 0.0], [env_overlap, math.sqrt(1.0 - env_overlap**2)]],
+                    dtype=np.complex128)
     blocks = []
-    for branch in (1, 2):
-        env = _env_branch_vector(branch, env_overlap)
+    for env in envs:
         block = env
         for _ in range(n_env - 1):
             block = np.kron(block, env)
@@ -194,16 +171,14 @@ def interference_matrix(c1, n_factors: int) -> np.ndarray:
     return matrix
 
 
-def interference_operator(
-    layout: SpaceLayout,
-    c1: complex,
-    factors: Sequence[str] = CHAIN_LABELS,
-) -> Observable:
-    """Joint flip operator c1 |1..1><2..2| + conj(c1) |2..2><1..1| over ``factors``.
+def interference_operator(layout: SpaceLayout, c1: complex) -> Observable:
+    """Joint flip operator c1 |1..1><2..2| + conj(c1) |2..2><1..1| over all of ``layout``.
 
-    Rejects |c1| != 1.
+    Rejects |c1| != 1.  A flip on some factors of a larger layout is
+    ``embed_operator(interference_matrix(c1, n), targets, layout)``, as ``zoo``
+    builds B_SD and B.
     """
-    return embed_operator(interference_matrix(c1, len(factors)), factors, layout)
+    return Observable(layout, interference_matrix(c1, layout.n_factors))
 
 
 def zoo(layout: SpaceLayout, gamma: float = 0.0) -> Mapping[str, Observable]:

@@ -285,10 +285,9 @@ def _chain_pair(a, scope):
 
 def interference_phase_scan(a, scope="MS"):
     pure, mixture = _chain_pair(a, scope)
-    factors = ("S", "D", "O") if scope == "MS" else ("S", "D")
 
     def k_of(phase):
-        op = interference_operator(pure.layout, np.exp(1j * phase), factors=factors)
+        op = interference_operator(pure.layout, np.exp(1j * phase))
         return k_value(op, pure, mixture)
 
     grid = np.linspace(0.0, 2.0 * math.pi, PHASE_GRID, endpoint=False)

@@ -167,6 +167,13 @@ MUTANTS = (
         "if np.shape(matrix) != (2 ** len(targets),) * 2:", "if False:",
         ("tests/test_hilbert.py::test_embed_rejects_a_matrix_not_sized_to_its_targets",),
     ),
+    # environment factors enter a state only through decohere
+    Mutant(
+        "branch-state-admits-environment", "model.py",
+        "if label not in CHAIN_LABELS:", "if False:",
+        ("tests/test_model.py::test_branch_state_rejects_environment_factors",
+         "tests/test_ensembles.py::test_stochastic_restriction_rejects_environment_factors"),
+    ),
     # the public-name list
     Mutant(
         "all-keeps-modules", "__init__.py",

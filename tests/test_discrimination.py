@@ -351,8 +351,7 @@ def test_nogo_search_validates_inputs():
 def test_nogo_search_finds_nothing_on_the_decohered_chain(n_env):
     # the environment qubits tag the branches, and still no observable of the
     # observer, the detector or the whole space (dim 16, 32) tells them apart
-    psi = decohere(measurement_chain_state(0.6, 0.8), n_env, 0.5)
-    states = (psi, branch_state(1, psi.layout, 0.5), branch_state(2, psi.layout, 0.5))
+    states = tuple(decohere(state, n_env, 0.5) for state in chain_states(0.6, 0.8))
     for scope in ("O", "D", "MS"):
         verdict = nogo_search(scope, states, 10_000)
         assert not verdict.found and not verdict.out_of_regime

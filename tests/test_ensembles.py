@@ -19,6 +19,7 @@ from qmeas.ensembles import (
 from qmeas.hilbert import SpaceLayout, basis_state, expectation
 from qmeas.model import (
     branch_state,
+    decohere,
     measurement_chain_state,
     ms_layout,
     pointer_ready,
@@ -260,6 +261,13 @@ def test_stochastic_restriction_rejects_non_branch_states():
     )
     with pytest.raises(ValueError, match="not supported on the measurement branches"):
         restrict_stochastic(plus)
+
+
+def test_stochastic_restriction_rejects_environment_factors():
+    # the branch weights are defined on chain factors only
+    tagged = decohere(measurement_chain_state(0.6, 0.8), 2, 0.5)
+    with pytest.raises(ValueError, match="environment factor 'E1'"):
+        restrict_stochastic(tagged)
 
 
 def test_stochastic_restriction_rejects_unknown_observer_label():

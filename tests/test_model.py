@@ -9,6 +9,7 @@ from qmeas.hilbert import (
     InvariantViolation,
     Observable,
     SpaceLayout,
+    embed_operator,
     expectation,
     is_eigenstate,
     partial_trace,
@@ -161,15 +162,33 @@ def test_branch_states_are_the_extreme_basis_vectors():
 
 
 def test_branch_states_with_environment_stay_orthogonal():
-    layout = ms_layout(3)
-    b1 = branch_state(1, layout, env_overlap=0.7)
-    b2 = branch_state(2, layout, env_overlap=0.7)
+    b1, b2 = (decohere(branch_state(branch, SDO), 3, 0.7) for branch in (1, 2))
     assert abs(np.vdot(b1.amplitudes, b2.amplitudes)) <= 1e-12
 
 
-def test_branch_state_requires_env_overlap_for_env_layouts():
-    with pytest.raises(ValueError, match="env_overlap"):
-        branch_state(1, ms_layout(2))
+def test_branch_state_rejects_environment_factors():
+    # only decohere appends environment factors
+    tagged = decohere(measurement_chain_state(0.6, 0.8), 2, 0.5).layout
+    for layout in (tagged, SpaceLayout.of("S", "D", "O", "E1")):
+        with pytest.raises(ValueError, match="decohere"):
+            branch_state(1, layout)
+
+
+@pytest.mark.parametrize("overlap", [0.0, 0.5, 0.7, 1.0])
+@pytest.mark.parametrize("n_env", [1, 2, 3])
+@pytest.mark.parametrize("branch", [1, 2])
+def test_decohered_branch_state_is_the_kronecker_product_bit_for_bit(branch, n_env, overlap):
+    # oracle: the chain basis vector of the branch, then n_env copies of the
+    # branch environment state, (1, 0) for branch 1 and (overlap, sqrt(1 -
+    # overlap^2)) for branch 2
+    direct = np.zeros(8, dtype=np.complex128)
+    direct[0 if branch == 1 else 7] = 1.0
+    env = [1.0, 0.0] if branch == 1 else [overlap, math.sqrt(1.0 - overlap**2)]
+    for _ in range(n_env):
+        direct = np.kron(direct, np.array(env, dtype=np.complex128))
+    out = decohere(branch_state(branch, SDO), n_env, overlap)
+    assert out.layout.labels == SDO.labels + tuple(f"E{j}" for j in range(1, n_env + 1))
+    assert np.array_equal(out.amplitudes, direct)
 
 
 def test_branch_state_rejects_bad_index():
@@ -330,16 +349,20 @@ PHASES = [np.exp(1j * p) for p in (0.0, 0.7, math.pi / 2, 2.0, math.pi, 5.9)]
 @pytest.mark.parametrize(
     "layout, factors, after",
     [(SD, ("S", "D"), 1), (SDO, ("S", "D", "O"), 1), (SDO, ("S", "D"), 2),
-     (ms_layout(1), ("S", "D"), 4), (ms_layout(2), ("S", "D", "O"), 4)],
+     (SpaceLayout.of("S", "D", "O", "E1"), ("S", "D"), 4),
+     (SpaceLayout.of("S", "D", "O", "E1", "E2"), ("S", "D", "O"), 4)],
     ids=["B_SD-on-SD", "B-on-SDO", "B_SD-on-SDO", "B_SD-on-SDOE1", "B-on-SDOE2"],
 )
 def test_interference_operator_is_the_kronecker_product_bit_for_bit(layout, factors, after):
-    # on its own factors (after = 1) no identity is added, and every bit of
-    # interference_matrix is kept
+    # interference_operator spans its whole layout (after = 1) and keeps every
+    # bit of interference_matrix; a flip on some factors is embedded, as zoo
+    # embeds B_SD and B
     for c1 in PHASES:
-        op = interference_operator(layout, c1, factors=factors)
         direct = np.kron(interference_matrix(c1, len(factors)), np.eye(after))
-        assert np.array_equal(op.matrix, direct)
+        embedded = embed_operator(interference_matrix(c1, len(factors)), factors, layout)
+        assert np.array_equal(embedded.matrix, direct)
+        if after == 1:
+            assert np.array_equal(interference_operator(layout, c1).matrix, direct)
 
 
 def _direct_zoo(labels, gamma):

@@ -119,9 +119,8 @@ def test_batch_rows_holds_at_most_4096_entries_and_at_least_one_row(row_entries)
 def test_decohered_chain_matches_the_per_candidate_loop(tol):
     # one environment qubit: dim 16, where an MS or forcing batch holds 16
     # rows instead of the 64 at dim 8; the last batch of each is partial
-    psi = decohere(measurement_chain_state(0.6, 0.8j), 1, 0.5)
-    states = (psi, branch_state(1, psi.layout, 0.5), branch_state(2, psi.layout, 0.5))
-    assert _batch_rows(psi.layout.total_dim ** 2) == 16
+    states = tuple(decohere(state, 1, 0.5) for state in STATES)
+    assert _batch_rows(states[0].layout.total_dim ** 2) == 16
     got = nogo_search("MS", states, N, tol=tol, seed=3)
     assert_same_verdict(got, _oracle.nogo_search("MS", states, N, tol=tol, seed=3))
     got = forcing_check(states, n_samples=333, seed=5, tol=tol)
