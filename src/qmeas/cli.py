@@ -607,7 +607,37 @@ def _write_report(path: str, text: str) -> None:
 
 # --------------------------------------------------------------------- main
 
+_NEGATIVE_VALUE = tuple(f"-{c}" for c in "0123456789.")
+
+
 class _Parser(argparse.ArgumentParser):
+    """Errors raise ``ConfigError``; a value flag also takes a negative value after a space.
+
+    argparse reads a token that starts with "-" as an option unless it looks
+    like -N or -N.N, so ``--gamma -1e-3`` and ``--a1 -0.6,0.1`` would fail.
+    A token that starts with "-" and a digit or "." right after a value flag
+    is joined to it, as the ``--gamma=-1e-3`` form.
+    """
+
+    def __init__(self, **kwargs):
+        self.value_flags: set[str] = set()  # before the base __init__, which adds -h
+        super().__init__(**kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.option_strings and action.nargs is None:
+            self.value_flags.update(action.option_strings)
+        return action
+
+    def parse_known_args(self, args=None, namespace=None):
+        joined: list[str] = []
+        for token in sys.argv[1:] if args is None else args:
+            if joined and joined[-1] in self.value_flags and token.startswith(_NEGATIVE_VALUE):
+                joined[-1] += "=" + token
+            else:
+                joined.append(token)
+        return super().parse_known_args(joined, namespace)
+
     def error(self, message):
         raise ConfigError(message)
 

@@ -49,6 +49,7 @@ class Mutant(NamedTuple):
 
 
 SCAN_KERNEL = "tests/test_scan_kernel.py"
+REFINE_WALK = f"{SCAN_KERNEL}::test_lookahead_refinement_equals_the_pairwise_loop"
 SAMPLER_COUNTS = "tests/test_ensembles.py::test_run_ensemble_counts_equal_uniforms_below_p1"
 WHOLE_ARRAY = "tests/test_ensembles.py::test_run_ensemble_equals_whole_array_sampler"
 FAILED_STDOUT = "tests/test_cli.py::test_failed_stdout_write_exits_one_without_traceback"
@@ -96,6 +97,24 @@ MUTANTS = (
         "f(gammas)[..., None, None] for f in (np.cos, np.sin))",
         (SCAN_KERNEL,),
         host_dependent=True,
+    ),
+    # the walk of the lookahead refinement
+    Mutant(
+        "refine-ties-left", "discrimination.py",
+        "values[2 * n] < values[2 * n + 1]", "values[2 * n] <= values[2 * n + 1]",
+        (REFINE_WALK,),
+    ),
+    Mutant(
+        "refine-children-swapped", "discrimination.py",
+        "(1 if values[2 * n] < values[2 * n + 1] else 2)",
+        "(2 if values[2 * n] < values[2 * n + 1] else 1)",
+        (REFINE_WALK,),
+    ),
+    Mutant(
+        # a child's index without its level's offset
+        "refine-child-index-slip", "discrimination.py",
+        "n = 2 * n + (1 if", "n = n + (1 if",
+        (REFINE_WALK,),
     ),
     # the scanned families, which the K kernel takes without a Hermiticity gate
     Mutant(
@@ -198,6 +217,12 @@ MUTANTS = (
         "                sys.stdout.write(text)\n                sys.stdout.flush()\n",
         "                sys.stdout.write(text)\n",
         (FAILED_STDOUT,),
+    ),
+    Mutant(
+        "negative-value-not-joined", "cli.py",
+        "if joined and joined[-1] in self.value_flags and token.startswith(_NEGATIVE_VALUE):",
+        "if False:",
+        ("tests/test_cli.py::test_negative_value_after_a_space_equals_the_equals_form",),
     ),
     Mutant(
         # the test's child reads /dev/zero under a 1.5 GB address-space limit

@@ -235,14 +235,53 @@ def test_amplitudes_too_large_to_square_exit_one(flags, config, tmp_path, capsys
     assert "Traceback" not in err
 
 
-def test_negative_complex_amplitude_needs_the_equals_form():
-    config, _ = resolve(["simulate", "--a1=-0.6,0.1", "--a2", repr(math.sqrt(0.63))])
-    assert config.a1 == pytest.approx(-0.6 + 0.1j)
-    config, _ = resolve(["simulate", "--a1", "-0.6", "--a2", "0.8"])
-    assert config.a1 == pytest.approx(-0.6)
-    # argparse reads a value that starts with "-" and is not a plain number as an option
-    with pytest.raises(ConfigError, match="expected one argument"):
-        resolve(["simulate", "--a1", "-0.6,0.1", "--a2", repr(math.sqrt(0.63))])
+# argparse alone reads a token that starts with "-" as an option unless it
+# looks like -N or -N.N; after a value flag, "-" and a digit or "." is a value
+@pytest.mark.parametrize(
+    "spaced",
+    [
+        ["--gamma", "-1e-3"],
+        ["--c-phase", "-2.5e-1"],
+        ["--a1", "-0.6,0.1", "--a2", repr(math.sqrt(0.63))],
+        ["--a1", "-.6", "--a2", "-8E-1"],
+        ["--a1", "0.6", "--a2", "-0,-0.8", "--env-overlap", "-0e0"],
+        ["--gamma", "-0.001", "--seed", "-0"],
+    ],
+    ids=lambda spaced: " ".join(spaced),
+)
+def test_negative_value_after_a_space_equals_the_equals_form(spaced):
+    equals = [f"{flag}={value}" for flag, value in zip(spaced[::2], spaced[1::2])]
+    got = build_parser().parse_args(["discriminate", *spaced])
+    assert got == build_parser().parse_args(["discriminate", *equals])
+    assert resolve(["discriminate", *spaced]) == resolve(["discriminate", *equals])
+
+
+def test_negative_exponent_value_after_a_space_gives_the_equals_form_report(capsys):
+    reports = []
+    for argv in (["--gamma", "-1e-3", "--c-phase", "-2.5e-1"],
+                 ["--gamma=-1e-3", "--c-phase=-2.5e-1"]):
+        rc, out, err = run_main(["discriminate", *argv], capsys)
+        assert rc == 0 and "error" not in err
+        reports.append(out)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["config"]["gamma"] == -1e-3
+
+
+@pytest.mark.parametrize("value", ["-x", "-e3", "--1"])
+def test_value_flag_followed_by_an_option_like_token_exits_one(value, capsys):
+    rc, out, err = run_main(["discriminate", "--gamma", value], capsys)
+    assert rc == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "--gamma" in err
+    assert "Traceback" not in err
+
+
+def test_negative_value_is_joined_only_to_a_value_flag():
+    # after a value that is itself negative, another negative token stays a stray argument
+    with pytest.raises(ConfigError, match="unrecognized arguments: -2"):
+        resolve(["discriminate", "--gamma", "-1", "-2"])
+    with pytest.raises(ConfigError, match="unrecognized arguments: -1e-3"):
+        resolve(["discriminate", "-1e-3"])
 
 
 def test_amplitude_parse_errors():

@@ -7,11 +7,11 @@ code with it, bit for bit: the scans report the phases and values it
 finds.  The scans evaluate the first half of the grid only and copy those
 values onto the second half (G(p + pi) = -G(p) for every scanned family);
 the near set of the copied minimum is scored again at its own phases and
-the refinement scores each pair of inner points in one call, so the
-reports equal the per-point loops of ``_oracle``.  The direction sweep of
-``channel_information`` is one stacked call over its ``N_DIRECTIONS``
-directions.  The kernel runs no Hermiticity gate, so every scanned family
-must be one that the gate returns bit for bit.
+the refinement scores the inner points of three ternary steps in one
+call, so the reports equal the per-point loops of ``_oracle``.  The
+direction sweep of ``channel_information`` is one stacked call over its
+``N_DIRECTIONS`` directions.  The kernel runs no Hermiticity gate, so
+every scanned family must be one that the gate returns bit for bit.
 """
 
 import math
@@ -24,8 +24,10 @@ from _helpers import random_amplitude_pair, random_density, random_hermitian, ra
 from qmeas import discrimination
 from qmeas.discrimination import (
     _POINTER_BASIS,
+    LOOKAHEAD,
     N_DIRECTIONS,
     PHASE_GRID,
+    REFINE_STEPS,
     _batch_rows,
     _overlaps,
     _scan_extremum,
@@ -214,8 +216,56 @@ def test_scan_extremum_evaluates_the_first_half_then_the_near_set(dim):
     assert np.array_equal(np.concatenate(seen[:half_batches]), GRID[: PHASE_GRID // 2])
     assert max(len(phases) for phases in seen) <= rows
     assert set(seen[half_batches]) <= set(GRID)
-    # the refinement scores its pair of inner points in one call, then the midpoint
-    assert [len(phases) for phases in seen[half_batches + 1:]] == [2] * 80 + [1]
+    # the refinement looks three steps ahead: one call scores the 2 + 4 + 8
+    # inner points of the brackets they can reach, 26 such calls and one of
+    # two steps (2 + 4) make the 80 steps, then the midpoint is scored
+    assert (REFINE_STEPS, LOOKAHEAD) == (80, 3)
+    assert [len(phases) for phases in seen[half_batches + 1:]] == [14] * 26 + [6] + [1]
+
+
+STEP = 2.0 * math.pi / PHASE_GRID
+
+# objectives that stress the walk of the lookahead refinement, in steps
+# placed at fractions of a grid step; the first grid minimum lies at 0, at
+# the next grid point (a step down just after 0), or at the last one (the
+# descending ramp, the minimum on the upper bracket edge)
+_WALK_OBJECTIVES = {
+    "constant": lambda p: np.zeros(len(p)),  # ties at every step
+    "ramp_up": lambda p: p,
+    "ramp_down": lambda p: -p,
+    **{f"step_up_at_{t:+.2f}": (lambda p, t=t: np.where(p < t * STEP, 0.0, 1.0))
+       for t in (-0.5, -1.0 / 3.0, 0.0, 0.3, 1.0 / 3.0, 0.7)},
+    **{f"step_down_at_{t:+.2f}": (lambda p, t=t: np.where(p < t * STEP, 1.0, 0.0))
+       for t in (-0.2, 0.1, 0.5)},
+    "minimum_on_lower_edge": lambda p: (p + STEP) ** 2,
+    "minimum_on_upper_edge": lambda p: (p - 2.0 * math.pi) ** 2,
+    "minimum_inside": lambda p: (p - 0.37 * STEP) ** 2,
+}
+
+
+@pytest.mark.parametrize("dim", [2, 8])
+@pytest.mark.parametrize("name", list(_WALK_OBJECTIVES))
+def test_lookahead_refinement_equals_the_pairwise_loop(name, dim):
+    # the point-by-point scan of _oracle, refined by its pairwise ternary loop,
+    # must give the phase and value of the lookahead bit for bit; the loop's
+    # points are among the ones the lookahead scored
+    objective = _WALK_OBJECTIVES[name]
+    scored, looped = set(), []
+
+    def recorded(phases):
+        scored.update(phases.tolist())
+        return objective(phases)
+
+    def scalar(p):
+        looped.append(p)
+        return float(objective(np.array([p]))[0])
+
+    got = _scan_extremum(recorded, dim=dim)
+    best = GRID[int(np.argmin([scalar(p) for p in GRID]))]
+    looped.clear()
+    want = _oracle._refine_extremum(scalar, best - STEP, best + STEP, minimize=True)
+    assert got == want
+    assert set(looped) <= scored
 
 
 def test_scan_extremum_picks_p_on_exact_ties_at_p_and_p_plus_pi():
