@@ -256,6 +256,24 @@ def test_negative_value_after_a_space_equals_the_equals_form(spaced):
     assert resolve(["discriminate", *spaced]) == resolve(["discriminate", *equals])
 
 
+@pytest.mark.parametrize(
+    "argv, a1, a2",
+    [
+        (["--a1=-0.6,0.1", "--a2", repr(math.sqrt(0.63))], -0.6 + 0.1j, math.sqrt(0.63)),
+        (["--a1", "-0.6,0.1", "--a2", repr(math.sqrt(0.63))], -0.6 + 0.1j, math.sqrt(0.63)),
+        (["--a1", "-0.6", "--a2", "0.8"], -0.6, 0.8),
+        (["--a1", "0.6", "--a2", "-0.48,-0.64"], 0.6, -0.48 - 0.64j),
+        (["--a1", "-.6", "--a2", "-8E-1"], -0.6, -0.8),
+    ],
+    ids=["equals-complex", "spaced-complex", "spaced-real", "spaced-negative-imaginary",
+         "spaced-exponent"],
+)
+def test_negative_amplitude_keeps_its_signs(argv, a1, a2):
+    config, _ = resolve(["simulate", *argv])
+    assert config.a1 == pytest.approx(a1)
+    assert config.a2 == pytest.approx(a2)
+
+
 def test_negative_exponent_value_after_a_space_gives_the_equals_form_report(capsys):
     reports = []
     for argv in (["--gamma", "-1e-3", "--c-phase", "-2.5e-1"],
