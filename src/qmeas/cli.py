@@ -615,24 +615,22 @@ class _Parser(argparse.ArgumentParser):
 
     argparse reads a token that starts with "-" as an option unless it looks
     like -N or -N.N, so ``--gamma -1e-3`` and ``--a1 -0.6,0.1`` would fail.
-    A token that starts with "-" and a digit or "." right after a value flag
-    is joined to it, as the ``--gamma=-1e-3`` form.
+    A token that starts with "-" and a digit or "." right after a value flag,
+    named in full or by a unique prefix as argparse reads ``--gam``, is
+    joined to it, as the ``--gamma=-1e-3`` form.
     """
 
-    def __init__(self, **kwargs):
-        self.value_flags: set[str] = set()  # before the base __init__, which adds -h
-        super().__init__(**kwargs)
-
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        if action.option_strings and action.nargs is None:
-            self.value_flags.update(action.option_strings)
-        return action
+    def _value_flag(self, token: str) -> bool:
+        options = self._option_string_actions
+        named = [token] if token in options else [
+            name for name in options
+            if self.allow_abbrev and token.startswith("--") and name.startswith(token)]
+        return len(named) == 1 and options[named[0]].nargs is None
 
     def parse_known_args(self, args=None, namespace=None):
         joined: list[str] = []
         for token in sys.argv[1:] if args is None else args:
-            if joined and joined[-1] in self.value_flags and token.startswith(_NEGATIVE_VALUE):
+            if token.startswith(_NEGATIVE_VALUE) and joined and self._value_flag(joined[-1]):
                 joined[-1] += "=" + token
             else:
                 joined.append(token)

@@ -263,8 +263,9 @@ def _chunks(n: int, size: int):
 def _batch_rows(row_entries: int) -> int:
     """Rows per batch of every batched loop, about 4096 entries a batch.
 
-    At dim 8 that is 64 MS or forcing matrices and 170 O/D (3, dim) products;
-    at dim 2, 1024 scan phases.  256 rows at dim 8 lift `nogo` peak RSS 6%.
+    At dim 8 that is 64 MS or forcing matrices and 512 O/D directions, screened
+    on psi's dim-entry products; at dim 2, 1024 scan phases.  256 MS rows at
+    dim 8 lift `nogo` peak RSS 6%.
     """
     return max(1, 4096 // row_entries)
 
@@ -382,7 +383,9 @@ def nogo_search(
     ``states`` is the entangled chain state followed by its two branches.
 
     Candidates are tested in batches, in scan order, and the scan stops at
-    the first discriminating one.  The verdict reports whether one was
+    the first discriminating one.  A batch is screened on the chain state
+    alone first, and only one in which it passes is tested on all three
+    states; the others are counted.  The verdict reports whether one was
     found and the largest eigenvalue gap among candidates for which all
     three states passed the eigenstate test; ``forcing_check`` verifies the
     identity behind that gap.  With a vanishing branch amplitude the scan is
@@ -416,7 +419,7 @@ def nogo_search(
     n_random = n_candidates - n_sphere
 
     def candidate_chunks():
-        """Batches of (products[n, s] = G_n v_s, label(n): the parameters of G_n)."""
+        """Batches of (products(k)[n, s] = G_n v_s for s < k, label(n): the parameters of G_n)."""
         if layout_scope in ("O", "D"):
             axis = psi.layout.axis(OBSERVER if layout_scope == "O" else DETECTOR)
             # P_k v_s, with P_k on the middle axis of (state, factors before, factor,
@@ -425,15 +428,17 @@ def nogo_search(
             tensors = vectors.reshape(3, 2**axis, 2, -1)
             basis = np.einsum("kij,sajb->ksaib", checked_hermitian(_POINTER_BASIS), tensors)
             basis = basis.reshape(3, 3 * dim)
-            for directions in _pointer_directions(n_sphere, n_random, rng, _batch_rows(3 * dim)):
-                products = (directions @ basis).reshape(len(directions), 3, dim)
-                yield products, lambda n, directions=directions: tuple(directions[n])
+            # a batch holds psi's products alone unless psi passes in it
+            for directions in _pointer_directions(n_sphere, n_random, rng, _batch_rows(dim)):
+                yield (lambda k, d=directions: (d @ basis[:, :k * dim]).reshape(len(d), k, dim),
+                       lambda n, d=directions: tuple(d[n]))
         else:
             structured = zoo(psi.layout)
             matrices = np.stack([op.matrix for op in structured.values()] + [np.eye(dim)])
-            yield _apply(matrices, vectors), [*structured, "I"].__getitem__
-            for start, matrices in _random_hermitians(n_random, dim, rng):
-                yield _apply(matrices, vectors), lambda n, start=start: f"random[{start + n}]"
+            yield (lambda k: _apply(matrices, vectors[:k])), [*structured, "I"].__getitem__
+            for start, batch in _random_hermitians(n_random, dim, rng):
+                yield (lambda k, batch=batch: _apply(batch, vectors[:k]),
+                       lambda n, start=start: f"random[{start + n}]")
 
     if layout_scope == "MS":
         family = (
@@ -448,15 +453,18 @@ def nogo_search(
     witness = None
     max_min_gap = 0.0
     for products, label in candidate_chunks():
-        lam, passed = eigen_residuals(products, vectors, tol)
+        # psi alone first: no candidate under which psi fails passes all three tests
+        passed = eigen_residuals(products(1), vectors[:1], tol)[1]
+        if passed.any():
+            lam, passed = eigen_residuals(products(3), vectors, tol)
         if not passed.any():  # every gap is 0: nothing to record
-            n_tested += len(products)
+            n_tested += len(passed)
             continue
         # min(|g0 - g1|, |g0 - g2|) of candidates all three states passed, else 0
         gaps = np.minimum(np.abs(lam[:, 0] - lam[:, 1]), np.abs(lam[:, 0] - lam[:, 2]))
         gaps = np.where(passed, gaps, 0.0)
         hits = np.flatnonzero(gaps > DISTINCTNESS_THRESHOLD)
-        tested = int(hits[0]) + 1 if hits.size else len(products)
+        tested = int(hits[0]) + 1 if hits.size else len(passed)
         n_tested += tested
         max_min_gap = max(max_min_gap, float(gaps[:tested].max()))
         if hits.size:

@@ -8,7 +8,9 @@ k's key z_k is a splitmix64 finalizer of (seed, k), and ``run_ensemble`` may
 draw the events in any blocks and aggregate them in any order.  Event k
 reads O1 when its uniform u_k = (z_k >> 11) 2^-53 is below p1, that is when
 z_k is below ceil(p1 2^53) << 11, an integer test with no rounding;
-``run_ensemble`` never forms the uniforms.
+``run_ensemble`` never forms the uniforms.  The key before the finalizer is
+(k + 1) G + seed mod 2^64, G the splitmix64 step: seeds s and s + G give the
+same events shifted by one, while consecutive seeds give unrelated counts.
 """
 
 from __future__ import annotations

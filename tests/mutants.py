@@ -54,6 +54,7 @@ SAMPLER_COUNTS = "tests/test_ensembles.py::test_run_ensemble_counts_equal_unifor
 WHOLE_ARRAY = "tests/test_ensembles.py::test_run_ensemble_equals_whole_array_sampler"
 FAILED_STDOUT = "tests/test_cli.py::test_failed_stdout_write_exits_one_without_traceback"
 COMMAND_CHECKS = "tests/test_cli.py::test_command_checks_run_before_any_section_builder"
+NOGO_ENGINE = "tests/test_nogo_engine.py"
 
 MUTANTS = (
     # Born form and the K kernel
@@ -152,15 +153,32 @@ MUTANTS = (
     # the no-go engine
     Mutant(
         "skip-path-undercounts", "discrimination.py",
-        "n_tested += len(products)\n            continue",
-        "n_tested += min(len(products), 64)\n            continue",
+        "n_tested += len(passed)\n            continue",
+        "n_tested += min(len(passed), 64)\n            continue",
         ("tests/test_nogo_engine.py",),
     ),
     Mutant(
-        "od-rows-1024", "discrimination.py",
-        "_pointer_directions(n_sphere, n_random, rng, _batch_rows(3 * dim))",
-        "_pointer_directions(n_sphere, n_random, rng, 1024)",
+        # screened O/D batches peak at about 1.9 MB at 4096 rows (0.6 MB at 1024)
+        "od-rows-4096", "discrimination.py",
+        "_pointer_directions(n_sphere, n_random, rng, _batch_rows(dim))",
+        "_pointer_directions(n_sphere, n_random, rng, 4096)",
         ("tests/test_nogo_engine.py::test_scan_memory_stays_bounded",),
+    ),
+    Mutant(
+        # every verdict stays the same, since a candidate b1 fails is rejected
+        # too; only the screen's vectors show the change
+        "screen-on-b1", "discrimination.py",
+        "passed = eigen_residuals(products(1), vectors[:1], tol)[1]",
+        "passed = eigen_residuals(products(2)[:, 1:], vectors[1:2], tol)[1]",
+        (f"{NOGO_ENGINE}::test_each_batch_screens_on_psi_and_confirms_only_where_psi_passes",),
+    ),
+    Mutant(
+        # psi's mask taken for the three-state one
+        "confirm-skipped", "discrimination.py",
+        "lam, passed = eigen_residuals(products(3), vectors, tol)",
+        "lam = eigen_residuals(products(3), vectors, tol)[0]",
+        (f"{NOGO_ENGINE}::test_candidates_only_the_target_passes_are_rejected_by_the_confirmation",
+         f"{NOGO_ENGINE}::test_engine_labels_a_late_random_hit_with_its_global_index"),
     ),
     Mutant(
         "apply-matmul-transpose", "discrimination.py",
@@ -220,9 +238,18 @@ MUTANTS = (
     ),
     Mutant(
         "negative-value-not-joined", "cli.py",
-        "if joined and joined[-1] in self.value_flags and token.startswith(_NEGATIVE_VALUE):",
+        "if token.startswith(_NEGATIVE_VALUE) and joined and self._value_flag(joined[-1]):",
         "if False:",
         ("tests/test_cli.py::test_negative_value_after_a_space_equals_the_equals_form",),
+    ),
+    Mutant(
+        # a negative value joined to a full flag name only
+        "negative-value-not-joined-to-a-prefix", "cli.py",
+        'if self.allow_abbrev and token.startswith("--") and name.startswith(token)]',
+        "if False]",
+        ("tests/test_cli.py::test_negative_value_after_a_space_equals_the_equals_form",
+         "tests/test_cli.py"
+         "::test_negative_exponent_value_after_a_space_gives_the_equals_form_report"),
     ),
     Mutant(
         # the test's child reads /dev/zero under a 1.5 GB address-space limit

@@ -64,9 +64,10 @@ def sampler() -> str | None:
 def nogo() -> str | None:
     """200000 candidates per no-go scope: memory, time and candidate counts.
 
-    Scopes O and D combine three basis products per batch of 170 directions
-    (as many entries as an MS batch of 64 matrices at dim 8); materializing
-    a whole scope's products at this size would take about 77 MB.  The
+    Scopes O and D screen each batch of 512 directions on psi's products
+    alone (as many entries as an MS batch of 64 matrices at dim 8) and form
+    the branch products only where psi passes; materializing a whole
+    scope's three products at this size would take about 77 MB.  The
     one-candidate-at-a-time loop of earlier versions took about 4.5 s at
     20000 candidates, so about 45 s here.  The candidate counts catch a
     miscount of batches in which nothing passes.

@@ -236,7 +236,9 @@ def test_amplitudes_too_large_to_square_exit_one(flags, config, tmp_path, capsys
 
 
 # argparse alone reads a token that starts with "-" as an option unless it
-# looks like -N or -N.N; after a value flag, "-" and a digit or "." is a value
+# looks like -N or -N.N; after a value flag, "-" and a digit or "." is a value.
+# argparse reads a unique prefix of a long flag as the flag, so the value
+# joins a prefix as it joins the full name
 @pytest.mark.parametrize(
     "spaced",
     [
@@ -246,6 +248,9 @@ def test_amplitudes_too_large_to_square_exit_one(flags, config, tmp_path, capsys
         ["--a1", "-.6", "--a2", "-8E-1"],
         ["--a1", "0.6", "--a2", "-0,-0.8", "--env-overlap", "-0e0"],
         ["--gamma", "-0.001", "--seed", "-0"],
+        ["--gam", "-1e-3"],
+        ["--gamma", "-1e-3", "--c-ph", "-2.5e-1"],
+        ["--a1", "0.6", "--a2", "-0,-0.8", "--env", "-0e0"],
     ],
     ids=lambda spaced: " ".join(spaced),
 )
@@ -277,11 +282,12 @@ def test_negative_amplitude_keeps_its_signs(argv, a1, a2):
 def test_negative_exponent_value_after_a_space_gives_the_equals_form_report(capsys):
     reports = []
     for argv in (["--gamma", "-1e-3", "--c-phase", "-2.5e-1"],
+                 ["--gam", "-1e-3", "--c-ph", "-2.5e-1"],
                  ["--gamma=-1e-3", "--c-phase=-2.5e-1"]):
         rc, out, err = run_main(["discriminate", *argv], capsys)
         assert rc == 0 and "error" not in err
         reports.append(out)
-    assert reports[0] == reports[1]
+    assert reports[0] == reports[1] == reports[2]
     assert json.loads(reports[0])["config"]["gamma"] == -1e-3
 
 
@@ -300,6 +306,16 @@ def test_negative_value_is_joined_only_to_a_value_flag():
         resolve(["discriminate", "--gamma", "-1", "-2"])
     with pytest.raises(ConfigError, match="unrecognized arguments: -1e-3"):
         resolve(["discriminate", "-1e-3"])
+
+
+@pytest.mark.parametrize("flags", [["--c", "-0.5"], ["--c=-0.5"], ["--e", "-1"]])
+def test_ambiguous_flag_prefix_keeps_the_argparse_error(flags, capsys):
+    # --c could be --config or --c-phase, --e --events or --env-overlap
+    rc, out, err = run_main(["discriminate", *flags], capsys)
+    assert rc == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "ambiguous option" in err
+    assert "Traceback" not in err
 
 
 def test_amplitude_parse_errors():

@@ -123,6 +123,21 @@ def test_run_ensemble_is_deterministic():
     assert run_ensemble(0.6, 0.8, 10_000, seed=77) == run_ensemble(0.6, 0.8, 10_000, seed=77)
 
 
+@pytest.mark.parametrize("seed", [5, 2**64 - 1])
+def test_seed_plus_the_key_step_shifts_the_events_by_one(seed):
+    # event k's key before the finalizer is (k + 1) G + seed mod 2^64, so
+    # seed + G draws events 1..n of seed: n + 1 events of seed are event 0
+    # plus the n events of seed + G
+    shifted = (seed + int(_oracle._GOLDEN)) % 2**64
+    n = 10_000
+    first = run_ensemble(0.6, 0.8, 1, seed=seed).counts
+    got = run_ensemble(0.6, 0.8, n, seed=shifted).counts
+    assert run_ensemble(0.6, 0.8, n + 1, seed=seed).counts == tuple(
+        a + b for a, b in zip(first, got))
+    if seed == 5:
+        assert run_ensemble(0.6, 0.8, n, seed=seed).counts[0] == 3583 and got[0] == 3584
+
+
 def test_run_ensemble_agrees_with_event_loop():
     n = 2000
     report = run_ensemble(0.6, 0.8, n, seed=31)

@@ -26,7 +26,7 @@ from qmeas.discrimination import (
     forcing_check,
     nogo_search,
 )
-from qmeas.hilbert import InvariantViolation, StateVector, eigen_residuals
+from qmeas.hilbert import DEFAULT_EIGENSTATE_TOL, InvariantViolation, StateVector, eigen_residuals
 from qmeas.model import (
     PAULI_X,
     PAULI_Z,
@@ -44,9 +44,10 @@ STATES = (measurement_chain_state(0.6, 0.8j), branch_state(1, SDO), branch_state
 # grid/random split would draw different candidates
 N = 10_013
 FLOAT_TOL = 64 * np.finfo(float).eps
-# O and D batch rows at dim 8, _batch_rows(3 * dim): their (rows, 3, dim)
-# products hold as many entries as the (64, dim, dim) matrices of an MS batch
-OD_ROWS = 170
+# O and D batch rows at dim 8, _batch_rows(dim): a batch holds psi's (rows,
+# dim) products alone unless psi passes in it, as many entries as the (64,
+# dim, dim) matrices of an MS batch
+OD_ROWS = 512
 # psi's residual under d0 P_z + d1 P_x + d2 P_y on O is sqrt(1 - (0.28 d0)^2),
 # smallest at the poles.  The grid comes nearest them at |d0| = 1 - 1/5006;
 # just below its residual no grid point passes, and the first candidate that
@@ -81,7 +82,7 @@ def test_engine_matches_per_candidate_loop(scope, tol):
 
 
 def test_engine_stops_mid_batch_like_the_loop():
-    # random direction 3603 = 21 * 170 + 33 is the 34th of its batch
+    # random direction 3603 = 7 * 512 + 19 is the 20th of its batch
     got = nogo_search("O", STATES, N, tol=LATE_HIT_TOL, seed=3)
     want = _oracle.nogo_search("O", STATES, N, tol=LATE_HIT_TOL, seed=3)
     assert got.found and got.n_candidates_tested == N // 2 + 3604
@@ -97,10 +98,10 @@ def test_forcing_check_matches_per_sample_loop(n_samples):
 
 def test_one_batch_rule_sizes_every_batched_loop():
     # about 4096 entries a batch; at dim 8, the size of every bench no-go run,
-    # 64 MS and forcing matrices and 170 O/D (3, dim) products, and 1024
-    # phases of the 2 x 2 scans
+    # 64 MS and forcing matrices and 512 O/D directions, screened on psi's
+    # dim-entry products, and 1024 phases of the 2 x 2 scans
     assert _batch_rows(8 * 8) == 64
-    assert _batch_rows(3 * 8) == OD_ROWS == 170
+    assert _batch_rows(8) == OD_ROWS == 512
     assert _batch_rows(2 * 2) == 1024
     # a dim 128 row holds more than 4096 entries; a batch still has one row
     assert _batch_rows(128 * 128) == 1 and _batch_rows(3 * 128) >= 1
@@ -129,22 +130,22 @@ def test_decohered_chain_matches_the_per_candidate_loop(tol):
 
 def test_grid_batches_equal_the_whole_sphere_bit_for_bit():
     # each batch computes its own rows, so memory does not grow with n_sphere
-    n = 5001  # 29 full batches and a partial one
+    n = 5001  # 9 full batches and a partial one
     got = np.concatenate(list(_pointer_directions(n, 0, None, OD_ROWS)))
     assert np.array_equal(got, _sphere_rows(n, 0, n))
 
 
 def test_batched_draws_equal_sequential_draws():
-    # 400 random directions span three O/D batches and 150 random matrices
+    # 1100 random directions span three O/D batches and 150 random matrices
     # three MS batches, the last one partial in both
     dim = SDO.total_dim
-    n_sphere, n_directions, n_random = 70, 400, 150
+    n_sphere, n_directions, n_random = 70, 1100, 150
     sequential = np.random.default_rng(3)
     rows = [sequential.normal(size=3) for _ in range(n_directions)]
     want = np.concatenate([_sphere_rows(n_sphere, 0, n_sphere),
                            [r / np.linalg.norm(r) for r in rows]])
     batches = list(_pointer_directions(n_sphere, n_directions, np.random.default_rng(3), OD_ROWS))
-    assert [len(b) for b in batches] == [70, OD_ROWS, OD_ROWS, 60]
+    assert [len(b) for b in batches] == [70, OD_ROWS, OD_ROWS, 76]
     np.testing.assert_allclose(np.concatenate(batches), want, rtol=FLOAT_TOL, atol=FLOAT_TOL)
 
     sequential = np.random.default_rng(3)
@@ -238,14 +239,19 @@ def test_verdicts_do_not_depend_on_the_batch_rows(monkeypatch, tol):
     assert got == want
 
 
-@pytest.mark.parametrize("scope", ["O", "D", "MS", "forcing"])
+@pytest.mark.parametrize("scope", ["O", "D", "MS", "forcing", "D-confirmed"])
 def test_scan_memory_stays_bounded(scope):
     # a scan holds one batch at a time: about 0.3 MB for O/D and 0.4 MB for
-    # MS at 20000 candidates, 0.55 MB for the forcing check; 1024-row O/D
-    # batches would peak at about 1.4 MB
+    # MS at 20000 candidates, 0.55 MB for the forcing check, and 0.83 MB for
+    # an O/D batch in which psi passes, so that all three products are formed
+    # (the rotated detector's third batch); screened O/D batches of 2048 rows
+    # would peak at about 1.05 MB, of 4096 rows at about 1.9 MB
     if scope == "forcing":
         def run():
             return forcing_check(STATES)
+    elif scope == "D-confirmed":
+        def run():
+            return nogo_search("D", _rotated_detector(STATES, 1.0), 20_000, tol=0.9601, seed=3)
     else:
         def run():
             return nogo_search(scope, STATES, 20_000)
@@ -270,10 +276,10 @@ def _rotated_detector(states, angle):
 
 
 def test_engine_labels_a_late_detector_hit_like_the_loop():
-    # With the detector turned by 0.6 rad the passing directions form a cap
+    # With the detector turned by 1 rad the passing directions form a cap
     # away from the pole, and the first grid point inside it lies in the
-    # third batch
-    states = _rotated_detector(STATES, 0.6)
+    # third batch, the first in which psi passes
+    states = _rotated_detector(STATES, 1.0)
     got = nogo_search("D", states, N, tol=0.9601, seed=3)
     want = _oracle.nogo_search("D", states, N, tol=0.9601, seed=3)
     assert got.found and 2 * OD_ROWS < got.n_candidates_tested < 3 * OD_ROWS
@@ -316,3 +322,96 @@ def test_nonpositive_tolerance_is_rejected_on_every_path(tol):
         forcing_check(STATES, n_samples=0, tol=tol)
     with pytest.raises(ValueError, match="tol must be positive"):
         nogo_search("MS", STATES, N, tol=tol)
+
+
+def _recorded_vectors(monkeypatch):
+    """The vectors of every ``eigen_residuals`` call the engine makes, in order."""
+    calls = []
+
+    def recording(products, vectors, tol):
+        calls.append(vectors.copy())
+        return eigen_residuals(products, vectors, tol)
+
+    monkeypatch.setattr(discrimination, "eigen_residuals", recording)
+    return calls
+
+
+SCREEN_STACKS = pytest.mark.parametrize(
+    "dim, rows", [(dim, rows) for dim in (2, 4, 8, 16) for rows in (1, 170, 512)]
+)
+
+
+def _screen_stack(dim, rows):
+    """``rows`` random Hermitian matrices of ``dim``, three unit vectors, and a
+    complex (3, 3 dim) pointer basis with ``rows`` real directions."""
+    rng = np.random.default_rng(dim * 1000 + rows)
+    matrices = discrimination._hermitians(rng.standard_normal((rows, 2, dim, dim)))
+    vectors = rng.standard_normal((3, dim)) + 1j * rng.standard_normal((3, dim))
+    basis = rng.standard_normal((3, 3 * dim)) + 1j * rng.standard_normal((3, 3 * dim))
+    directions = rng.standard_normal((rows, 3))
+    return matrices, vectors / np.linalg.norm(vectors, axis=1, keepdims=True), basis, directions
+
+
+@SCREEN_STACKS
+def test_psi_products_alone_equal_column_0_of_the_three_vector_products(dim, rows):
+    # the screen forms G_n psi alone; the products of the states it confirms
+    # must agree with it bit for bit, or a batch could pass one and not the other
+    matrices, vectors, basis, directions = _screen_stack(dim, rows)
+    assert _apply(matrices, vectors[:1]).tobytes() == _apply(matrices, vectors)[:, :1].tobytes()
+    psi_columns = (directions @ basis)[:, :dim]
+    assert (directions @ basis[:, :dim]).tobytes() == psi_columns.tobytes()
+
+
+@SCREEN_STACKS
+def test_psi_alone_gives_the_eigenvalue_bits_and_mask_of_the_three_vector_test(dim, rows):
+    # a tolerance at each candidate's psi residual, or one ulp below it, flips
+    # that candidate's screen if psi's residual alone differs by one ulp
+    matrices, vectors, _, _ = _screen_stack(dim, rows)
+    products = _apply(matrices, vectors)
+    lam = eigen_residuals(products, vectors, 1.0)[0]
+    residual = np.linalg.norm(products - lam[..., None] * vectors, axis=-1)[:, 0]
+    screened = _apply(matrices, vectors[:1])
+    for tol in np.concatenate([residual, np.nextafter(residual, 0.0)]):
+        got_lam, got_passed = eigen_residuals(screened, vectors[:1], tol)
+        assert got_lam.tobytes() == lam[:, :1].tobytes()
+        assert np.array_equal(got_passed, residual <= tol)
+
+
+@pytest.mark.parametrize(
+    "scope, tol, batches, confirmed",
+    [
+        # 5006 grid points and 5007 random directions in 512-row batches
+        ("O", DEFAULT_EIGENSTATE_TOL, 20, 0),
+        ("D", DEFAULT_EIGENSTATE_TOL, 20, 0),
+        # the structured chunk, which holds I, then 157 batches of 64 matrices
+        ("MS", DEFAULT_EIGENSTATE_TOL, 158, 1),
+        # every candidate passes all three tests, and the first one discriminates
+        ("O", 1.2, 1, 1),
+    ],
+)
+def test_each_batch_screens_on_psi_and_confirms_only_where_psi_passes(
+        monkeypatch, scope, tol, batches, confirmed):
+    states = np.stack([state.amplitudes for state in STATES])
+    calls = _recorded_vectors(monkeypatch)
+    nogo_search(scope, STATES, N, tol=tol, seed=3)
+    screens = [vectors for vectors in calls if len(vectors) == 1]
+    confirms = [vectors for vectors in calls if len(vectors) != 1]
+    assert len(screens) == batches and len(confirms) == confirmed
+    assert all(np.array_equal(vectors, states[:1]) for vectors in screens)
+    assert all(np.array_equal(vectors, states) for vectors in confirms)
+    # a confirmation follows the screen of its own batch
+    assert all(len(calls[n - 1]) == 1 for n, vectors in enumerate(calls) if len(vectors) == 3)
+
+
+def test_candidates_only_the_target_passes_are_rejected_by_the_confirmation(monkeypatch):
+    # The target |111> is an eigenstate of the observer's P_z and its branches
+    # (|111> +- |222>) / sqrt 2 are not: near the pole the target passes at
+    # tol 0.05, and the test on all three states rejects every such candidate
+    b1, b2 = (state.amplitudes for state in STATES[1:])
+    states = (STATES[1], StateVector(SDO, (b1 + b2) / math.sqrt(2.0)),
+              StateVector(SDO, (b1 - b2) / math.sqrt(2.0)))
+    calls = _recorded_vectors(monkeypatch)
+    got = nogo_search("O", states, N, tol=0.05, seed=3)
+    assert sum(len(vectors) == 3 for vectors in calls) >= 1
+    assert not got.found and got.max_min_gap == 0.0 and got.n_candidates_tested == N
+    assert_same_verdict(got, _oracle.nogo_search("O", states, N, tol=0.05, seed=3))
