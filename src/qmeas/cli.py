@@ -18,6 +18,7 @@ import io
 import json
 import math
 import os
+import re
 import stat
 import sys
 import tempfile
@@ -486,12 +487,6 @@ _COMMANDS = {name: functools.partial(_run, name) for name in _SECTIONS}
 
 # ------------------------------------------------------------- serialization
 
-def _format_float(value: float) -> str:
-    if not math.isfinite(value):
-        raise InvariantViolation(f"non-finite value {value!r} in report")
-    return format(value, ".17g")
-
-
 def render_json(value, indent: int = 0) -> str:
     pad = "  " * indent
     child_pad = "  " * (indent + 1)
@@ -502,7 +497,10 @@ def render_json(value, indent: int = 0) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return _format_float(float(value))
+        value = float(value)
+        if not math.isfinite(value):
+            raise InvariantViolation(f"non-finite value {value!r} in report")
+        return format(value, ".17g")
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, dict):
@@ -524,13 +522,10 @@ def render_json(value, indent: int = 0) -> str:
 
 
 def _csv_cell(value) -> str:
+    """A scalar as ``render_json`` writes it, except that None is empty and a string unquoted."""
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return _format_float(float(value))
-    return str(value)
+    return value if isinstance(value, str) else render_json(value)
 
 
 def render_csv(report: dict) -> str:
@@ -607,34 +602,19 @@ def _write_report(path: str, text: str) -> None:
 
 # --------------------------------------------------------------------- main
 
-_NEGATIVE_VALUE = tuple(f"-{c}" for c in "0123456789.")
-
-
 class _Parser(argparse.ArgumentParser):
     """Errors raise ``ConfigError``; a value flag also takes a negative value after a space.
 
-    argparse reads a token that starts with "-" as an option unless it looks
-    like -N or -N.N, so ``--gamma -1e-3`` and ``--a1 -0.6,0.1`` would fail.
-    A token that starts with "-" and a digit or "." right after a value flag,
-    named in full or by a unique prefix as argparse reads ``--gam``, is
-    joined to it, as the ``--gamma=-1e-3`` form.
+    argparse reads a token that starts with "-" as an option unless its
+    private ``_negative_number_matcher`` matches it, by default only -N and
+    -N.N, so ``--gamma -1e-3`` and ``--a1 -0.6,0.1`` would fail.  Here it
+    matches "-" and then a digit or ".", which argparse then reads as a value
+    wherever one may stand; subparsers are built from this class too.
     """
 
-    def _value_flag(self, token: str) -> bool:
-        options = self._option_string_actions
-        named = [token] if token in options else [
-            name for name in options
-            if self.allow_abbrev and token.startswith("--") and name.startswith(token)]
-        return len(named) == 1 and options[named[0]].nargs is None
-
-    def parse_known_args(self, args=None, namespace=None):
-        joined: list[str] = []
-        for token in sys.argv[1:] if args is None else args:
-            if token.startswith(_NEGATIVE_VALUE) and joined and self._value_flag(joined[-1]):
-                joined[-1] += "=" + token
-            else:
-                joined.append(token)
-        return super().parse_known_args(joined, namespace)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-[\d.]")
 
     def error(self, message):
         raise ConfigError(message)
@@ -655,26 +635,26 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", metavar="PATH", help="flat JSON config file")
-        cmd.add_argument("--seed", dest="rng_seed", type=int, default=None,
+        cmd.add_argument("--seed", dest="rng_seed", type=int,
                          metavar="SEED", help="RNG seed (u64)")
-        cmd.add_argument("--events", dest="n_events", type=int, default=None,
+        cmd.add_argument("--events", dest="n_events", type=int,
                          metavar="N", help="event / sample count")
-        cmd.add_argument("--a1", default=None, metavar="RE[,IM]",
+        cmd.add_argument("--a1", metavar="RE[,IM]",
                          help="first amplitude")
-        cmd.add_argument("--a2", default=None, metavar="RE[,IM]",
+        cmd.add_argument("--a2", metavar="RE[,IM]",
                          help="second amplitude")
-        cmd.add_argument("--gamma", type=float, default=None, metavar="RAD",
+        cmd.add_argument("--gamma", type=float, metavar="RAD",
                          help="conjugate-spin phase")
-        cmd.add_argument("--c-phase", dest="c_phase", type=float, default=None,
+        cmd.add_argument("--c-phase", dest="c_phase", type=float,
                          metavar="RAD", help="interference-term phase")
-        cmd.add_argument("--n-env", dest="n_env", type=int, default=None,
+        cmd.add_argument("--n-env", dest="n_env", type=int,
                          metavar="N", help="environment qubit count")
         cmd.add_argument("--env-overlap", dest="env_overlap", type=float,
-                         default=None, metavar="X",
+                         metavar="X",
                          help="per-qubit environment overlap in [0, 1]")
-        cmd.add_argument("--out", dest="output_path", default=None, metavar="PATH",
+        cmd.add_argument("--out", dest="output_path", metavar="PATH",
                          help="output file (default: stdout)")
-        cmd.add_argument("--format", dest="output_format", default=None,
+        cmd.add_argument("--format", dest="output_format",
                          choices=("json", "csv"), help="output format")
     return parser
 

@@ -18,9 +18,11 @@ and its first differing line.  The exit code is 1 when any report differs.
 The list is the golden ``CASES`` of ``tests/test_golden.py`` (read with
 ``ast``, so nothing is imported), the ``all`` case in CSV to ``--out``, the
 bench children of ``bench/run.py`` at seeds 7 and 1, the flat scan, ``all``
-at 13 qubits and two ``nogo`` runs with complex amplitudes.  The golden test
-compares floats within 1e-13 against committed files; this script compares
-two trees on one machine, so it asks for every bit.
+at 13 qubits, two ``nogo`` runs with complex amplitudes, and three runs with
+negative values after a space: under abbreviated flags, in a CSV report, and
+a stray one that exits 1.  The golden test compares floats within 1e-13
+against committed files; this script compares two trees on one machine, so
+it asks for every bit.
 
 Only the standard library is imported here, and pytest does not collect
 this file.
@@ -81,6 +83,10 @@ def argvs() -> list[list[str]]:
         ["all", "--n-env", "10", "--events", "10000"],  # 13 qubits
         ["nogo", "--a1", "0.28", "--a2", "0,0.96", "--events", "20000", "--seed", "1"],
         ["nogo", "--a1", "0.6,0.48", "--a2", "0,0.64", "--events", "20000", "--seed", "9"],
+        # negative values after a space, under abbreviated flags and in CSV
+        ["discriminate", "--a1", "-.6", "--a2", "-8E-1", "--gam", "-1e-3", "--c-ph", "-2.5e-1"],
+        ["simulate", "--a1", "0.6", "--a2", "-0.48,-0.64", "--events", "10000", "--format", "csv"],
+        ["discriminate", "--gamma", "-1", "-2"],  # exits 1: -2 is unrecognized
     ]
     return [list(argv) for argv in dict.fromkeys(map(tuple, listed))]
 

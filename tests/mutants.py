@@ -55,6 +55,7 @@ WHOLE_ARRAY = "tests/test_ensembles.py::test_run_ensemble_equals_whole_array_sam
 FAILED_STDOUT = "tests/test_cli.py::test_failed_stdout_write_exits_one_without_traceback"
 COMMAND_CHECKS = "tests/test_cli.py::test_command_checks_run_before_any_section_builder"
 NOGO_ENGINE = "tests/test_nogo_engine.py"
+NEGATIVE_SPACED = "tests/test_cli.py::test_negative_value_after_a_space_equals_the_equals_form"
 
 MUTANTS = (
     # Born form and the K kernel
@@ -204,6 +205,18 @@ MUTANTS = (
         "if np.shape(matrix) != (2 ** len(targets),) * 2:", "if False:",
         ("tests/test_hilbert.py::test_embed_rejects_a_matrix_not_sized_to_its_targets",),
     ),
+    # the input gates, each widened to a value no earlier test could tell apart
+    Mutant(
+        "hermitian-gate-1e-6", "hilbert.py",
+        "ATOL_HERMITIAN_INPUT = 1e-10", "ATOL_HERMITIAN_INPUT = 1e-6",
+        ("tests/test_hilbert.py"
+         "::test_observable_gate_rejects_an_anti_hermitian_part_above_its_tolerance",),
+    ),
+    Mutant(
+        "branch-support-1e-3", "ensembles.py",
+        "ATOL_BRANCH_SUPPORT = 1e-9", "ATOL_BRANCH_SUPPORT = 1e-3",
+        ("tests/test_ensembles.py::test_stochastic_restriction_rejects_weight_off_the_branches",),
+    ),
     # environment factors enter a state only through decohere
     Mutant(
         "branch-state-admits-environment", "model.py",
@@ -237,19 +250,24 @@ MUTANTS = (
         (FAILED_STDOUT,),
     ),
     Mutant(
-        "negative-value-not-joined", "cli.py",
-        "if token.startswith(_NEGATIVE_VALUE) and joined and self._value_flag(joined[-1]):",
-        "if False:",
-        ("tests/test_cli.py::test_negative_value_after_a_space_equals_the_equals_form",),
+        # argparse's own rule: only -N and -N.N read as values
+        "negative-matcher-default", "cli.py",
+        r'self._negative_number_matcher = re.compile(r"-[\d.]")',
+        r'self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$")',
+        (NEGATIVE_SPACED,),
     ),
     Mutant(
-        # a negative value joined to a full flag name only
-        "negative-value-not-joined-to-a-prefix", "cli.py",
-        'if self.allow_abbrev and token.startswith("--") and name.startswith(token)]',
-        "if False]",
-        ("tests/test_cli.py::test_negative_value_after_a_space_equals_the_equals_form",
-         "tests/test_cli.py"
-         "::test_negative_exponent_value_after_a_space_gives_the_equals_form_report"),
+        # "-" and a digit only: the -.6 form reads as an option
+        "negative-matcher-drops-leading-dot", "cli.py",
+        r'self._negative_number_matcher = re.compile(r"-[\d.]")',
+        r'self._negative_number_matcher = re.compile(r"-\d")',
+        (NEGATIVE_SPACED, "tests/test_cli.py::test_negative_amplitude_keeps_its_signs"),
+    ),
+    Mutant(
+        "metric-bound-exclusive", "cli.py",
+        "passed = bool(abs(float(value) - float(target)) <= float(tolerance))",
+        "passed = bool(abs(float(value) - float(target)) < float(tolerance))",
+        ("tests/test_cli.py::test_metric_passes_exactly_at_its_tolerance",),
     ),
     Mutant(
         # the test's child reads /dev/zero under a 1.5 GB address-space limit

@@ -7,6 +7,7 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qmeas.cli as cli
@@ -235,10 +236,10 @@ def test_amplitudes_too_large_to_square_exit_one(flags, config, tmp_path, capsys
     assert "Traceback" not in err
 
 
-# argparse alone reads a token that starts with "-" as an option unless it
-# looks like -N or -N.N; after a value flag, "-" and a digit or "." is a value.
-# argparse reads a unique prefix of a long flag as the flag, so the value
-# joins a prefix as it joins the full name
+# argparse reads a token that starts with "-" as an option unless its
+# negative-number rule matches it; the parser widens that rule from -N and
+# -N.N to "-" and then a digit or ".", so such a token is a value after a flag
+# named in full or by a unique prefix, and a stray one is unrecognized
 @pytest.mark.parametrize(
     "spaced",
     [
@@ -300,7 +301,7 @@ def test_value_flag_followed_by_an_option_like_token_exits_one(value, capsys):
     assert "Traceback" not in err
 
 
-def test_negative_value_is_joined_only_to_a_value_flag():
+def test_negative_token_without_a_flag_to_take_it_is_unrecognized():
     # after a value that is itself negative, another negative token stays a stray argument
     with pytest.raises(ConfigError, match="unrecognized arguments: -2"):
         resolve(["discriminate", "--gamma", "-1", "-2"])
@@ -873,6 +874,26 @@ def test_render_json_float_formatting():
 def test_render_json_rejects_non_finite():
     with pytest.raises(InvariantViolation, match="non-finite"):
         render_json({"x": float("nan")})
+
+
+def test_csv_cells_are_json_scalars_with_empty_none_and_bare_strings():
+    report = {"a": {"b": np.float64(0.1), "n": np.int64(3)}, "s": "x,y", "t": True, "z": None}
+    assert cli.render_csv(report).splitlines()[1:] == [
+        "a.b,0.10000000000000001,,", "a.n,3,,", 's,"x,y",,', "t,true,,", "z,,,"]
+    with pytest.raises(InvariantViolation, match="non-finite"):
+        cli.render_csv({"x": float("inf")})
+
+
+@pytest.mark.parametrize("target", [0.75, -0.75])
+def test_metric_passes_exactly_at_its_tolerance(target):
+    # 0.25 from the target passes, on either side, and the next float beyond
+    # fails; each value lies within a factor 2 of the target, so every
+    # difference is exact (Sterbenz) and the gate sees the bound itself
+    for side in (1.0, -1.0):
+        edge = target + side * 0.25
+        assert cli.metric(edge, target=target, tolerance=0.25)["passed"] is True
+        beyond = math.nextafter(edge, edge + side)
+        assert cli.metric(beyond, target=target, tolerance=0.25)["passed"] is False
 
 
 def test_render_json_round_trips_report(capsys):

@@ -16,7 +16,7 @@ from qmeas.ensembles import (
     restrict_stochastic,
     run_ensemble,
 )
-from qmeas.hilbert import SpaceLayout, basis_state, expectation
+from qmeas.hilbert import SpaceLayout, StateVector, basis_state, expectation
 from qmeas.model import (
     branch_state,
     decohere,
@@ -276,6 +276,18 @@ def test_stochastic_restriction_rejects_non_branch_states():
     )
     with pytest.raises(ValueError, match="not supported on the measurement branches"):
         restrict_stochastic(plus)
+
+
+@pytest.mark.parametrize("off", [1e-6, 1e-5, 1e-4])
+def test_stochastic_restriction_rejects_weight_off_the_branches(off):
+    # a normalized chain state with weight `off` on |001>, outside both
+    # branches: above the gate's 1e-9, below 1e-3, which no other test tells
+    # apart from it
+    amplitudes = math.sqrt(1.0 - off) * measurement_chain_state(0.6, 0.8).amplitudes
+    amplitudes[1] = math.sqrt(off)
+    state = StateVector(SDO, amplitudes)
+    with pytest.raises(ValueError, match="not supported on the measurement branches"):
+        restrict_stochastic(state)
 
 
 def test_stochastic_restriction_rejects_environment_factors():

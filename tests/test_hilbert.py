@@ -324,6 +324,19 @@ def test_observable_rejects_non_hermitian():
         Observable(S, m)
 
 
+@pytest.mark.parametrize("size", [1e-9, 1e-8, 1e-7])
+def test_observable_gate_rejects_an_anti_hermitian_part_above_its_tolerance(size):
+    # X + i size Z differs from its adjoint by 2 size: above the gate's 1e-10,
+    # and below 1e-6, which no other test tells apart from it
+    with pytest.raises(InvariantViolation, match="not Hermitian"):
+        Observable(S, X + 1j * size * Z)
+
+
+def test_observable_gate_admits_an_anti_hermitian_part_below_its_tolerance():
+    # 2e-11 passes the gate, and symmetrizing removes the part exactly
+    assert np.array_equal(Observable(S, X + 1j * 1e-11 * Z).matrix, X)
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
 @settings(max_examples=30, deadline=None)
 def test_spectral_reconstruction_random_hermitian(seed, n_factors):

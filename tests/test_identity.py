@@ -82,3 +82,9 @@ def test_the_list_covers_goldens_bench_children_and_complex_nogo():
                     and any("," in arg for arg in argv)]
     assert len(complex_nogo) >= 4  # two golden cases and two more
     assert sum(identity.OUT in argv for argv in runs) == 1
+    # negative values after a space: under abbreviated flags, in CSV, and a stray one
+    assert ["discriminate", "--a1", "-.6", "--a2", "-8E-1",
+            "--gam", "-1e-3", "--c-ph", "-2.5e-1"] in runs
+    assert ["simulate", "--a1", "0.6", "--a2", "-0.48,-0.64",
+            "--events", "10000", "--format", "csv"] in runs
+    assert ["discriminate", "--gamma", "-1", "-2"] in runs
