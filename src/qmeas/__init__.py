@@ -15,7 +15,6 @@ from .hilbert import (
     InvariantViolation,
     Observable,
     SpaceLayout,
-    SpectralEntry,
     StateVector,
     basis_state,
     embed_operator,

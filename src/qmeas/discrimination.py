@@ -487,16 +487,16 @@ def interference_analysis(
 
     Builds the joint flip operator at phase ``c1`` over the chain factors of
     the scope ("MS" or "SD") and returns (eigenvalues, expectation_pure,
-    expectation_mixed, k): its spectrum, its expectation on the entangled
-    pure state and on the matched branch mixture, and the overlap between
-    the two outcome distributions.
+    expectation_mixed, k): the eigenvalue of each group of ``op.spectrum``,
+    its expectation on the entangled pure state and on the matched branch
+    mixture, and the overlap between the two outcome distributions.
     """
     if scope not in ("MS", "SD"):
         raise ValueError("scope must be 'MS' or 'SD'")
     pure, mixture = matched_pair(a, scope)
     op = interference_operator(pure.layout, c1)
-    return (op.eigenvalues, expectation(pure, op), expectation(mixture, op),
-            overlap(op, pure, mixture))
+    values = tuple(value for value, _, _ in op.spectrum)
+    return values, expectation(pure, op), expectation(mixture, op), overlap(op, pure, mixture)
 
 
 def interference_phase_scan(a: tuple[complex, complex], scope: str = "MS") -> tuple[float, float]:

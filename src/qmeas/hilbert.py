@@ -21,7 +21,7 @@ construction), so they are safe to call from concurrent contexts.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -134,12 +134,6 @@ class StateVector(Immutable):
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "amplitudes", _frozen(arr))
 
-    def density(self) -> "DensityMatrix":
-        """Rank-one density matrix of this pure state."""
-        return DensityMatrix(
-            self.layout, np.outer(self.amplitudes, self.amplitudes.conj())
-        )
-
 
 class DensityMatrix(Immutable):
     """Hermitian, positive semidefinite, trace-one operator."""
@@ -169,22 +163,14 @@ class DensityMatrix(Immutable):
         return float(np.trace(self.matrix @ self.matrix).real)
 
 
-class SpectralEntry(NamedTuple):
-    """One spectral group; ``outcome_distribution`` and ``Observable.eigenvalues`` read it."""
-
-    eigenvalue: float
-    projector: np.ndarray
-    multiplicity: int
-
-
 class Observable(Immutable):
     """Hermitian operator with a grouped spectral decomposition.
 
     The input matrix must be Hermitian within ``ATOL_HERMITIAN_INPUT``; the
     stored copy is symmetrized so downstream code sees an exactly Hermitian
-    matrix.  ``spectrum`` is the one-row call of ``grouped_spectra``,
-    computed on each access.  An observable carries no name of its own: the
-    named ones are the keys of ``model.zoo``.
+    matrix.  ``spectrum``, the one-row call of ``grouped_spectra``, holds one
+    (eigenvalue, projector, multiplicity) tuple per group, computed on each
+    access.  An observable has no name: the named ones are the keys of ``model.zoo``.
     """
 
     __slots__ = ("layout", "matrix")
@@ -198,16 +184,12 @@ class Observable(Immutable):
         object.__setattr__(self, "matrix", _frozen(checked_hermitian(arr)))
 
     @property
-    def spectrum(self) -> tuple[SpectralEntry, ...]:
+    def spectrum(self) -> tuple[tuple[float, np.ndarray, int], ...]:
         ((_, values, cuts, projectors),) = grouped_spectra(self.matrix[None])
         return tuple(
-            SpectralEntry(float(values[0, start:stop].mean()), _frozen(group[0]), stop - start)
+            (float(values[0, start:stop].mean()), _frozen(group[0]), stop - start)
             for start, stop, group in zip(cuts, cuts[1:], projectors)
         )
-
-    @property
-    def eigenvalues(self) -> tuple[float, ...]:
-        return tuple(entry.eigenvalue for entry in self.spectrum)
 
     def __repr__(self):
         return f"Observable(dim={self.layout.total_dim})"
@@ -423,8 +405,8 @@ def outcome_weights(state: State, projectors) -> np.ndarray:
 
 
 def outcome_distribution(state: State, op: Observable) -> list[tuple[float, float]]:
-    """Measurement distribution of ``op`` in ``state``, one entry per spectral group."""
+    """(eigenvalue, weight) of ``state`` on each group of ``op.spectrum``, ascending."""
     require_same_layout(state, op)
     spectrum = op.spectrum
-    weights = outcome_weights(state, [entry.projector for entry in spectrum])
-    return [(entry.eigenvalue, w) for entry, w in zip(spectrum, weights.tolist())]
+    weights = outcome_weights(state, [projector for _, projector, _ in spectrum])
+    return [(value, w) for (value, _, _), w in zip(spectrum, weights.tolist())]

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from qmeas.hilbert import DensityMatrix
+
 
 def random_pure(rng, dim):
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -17,6 +19,11 @@ def random_density(rng, dim):
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = m @ m.conj().T
     return rho / np.trace(rho).real
+
+
+def pure_density(state):
+    """|psi><psi| of a ``StateVector``, as a ``DensityMatrix`` on its layout."""
+    return DensityMatrix(state.layout, np.outer(state.amplitudes, state.amplitudes.conj()))
 
 
 def random_amplitude_pair(rng):

@@ -9,11 +9,13 @@ Run from the repository root, with numpy installed::
 ``--against`` extracts the ``src/`` of REV from the local git objects
 (``git archive``) into a temporary directory, runs every argv of
 ``argvs()`` as ``python -m qmeas`` on both trees with
-``OPENBLAS_NUM_THREADS=1``, and compares the exit codes, stdout and the
-``--out`` file byte for byte.  ``--threads`` runs the list on this tree
-twice, with the variable at 1 and unset, where OpenBLAS picks its own
-thread count.  Each argv prints one line; a differing report names its argv
-and its first differing line.  The exit code is 1 when any report differs.
+``OPENBLAS_NUM_THREADS=1``, and compares the exit codes, stdout, the
+``--out`` file and, for a run that exits non-zero, stderr byte for byte (a
+successful run prints its wall time there).  ``--threads`` runs the list
+on this tree twice, with the variable at 1 and unset, where OpenBLAS picks
+its own thread count.  Each argv prints one line; a differing report names
+its argv and its first differing line.  The exit code is 1 when any report
+differs.
 
 The list is the golden ``CASES`` of ``tests/test_golden.py`` (read with
 ``ast``, so nothing is imported), the ``all`` case in CSV to ``--out``, the
@@ -99,14 +101,15 @@ def _start(src: Path, argv: list[str], threads: str | None, out: Path) -> subpro
         env["OPENBLAS_NUM_THREADS"] = threads
     args = [str(out) if arg == OUT else arg for arg in argv]
     return subprocess.Popen([sys.executable, "-m", "qmeas", *args], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 
 
 def _finish(child: subprocess.Popen, out: Path) -> dict[str, bytes | int]:
-    stdout = child.communicate(timeout=TIMEOUT_S)[0]
+    stdout, stderr = child.communicate(timeout=TIMEOUT_S)
     written = out.read_bytes() if out.exists() else b""
     out.unlink(missing_ok=True)
-    return {"exit code": child.returncode, "stdout": stdout, "--out file": written}
+    return {"exit code": child.returncode, "stdout": stdout, "--out file": written,
+            "stderr": stderr if child.returncode else b""}
 
 
 def first_difference(left: bytes, right: bytes) -> str:

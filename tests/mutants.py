@@ -50,6 +50,7 @@ class Mutant(NamedTuple):
 
 SCAN_KERNEL = "tests/test_scan_kernel.py"
 REFINE_WALK = f"{SCAN_KERNEL}::test_lookahead_refinement_equals_the_pairwise_loop"
+ORACLE_PAIRS = f"{SCAN_KERNEL}::test_scans_equal_oracle_on_amplitude_pairs"
 SAMPLER_COUNTS = "tests/test_ensembles.py::test_run_ensemble_counts_equal_uniforms_below_p1"
 WHOLE_ARRAY = "tests/test_ensembles.py::test_run_ensemble_equals_whole_array_sampler"
 FAILED_STDOUT = "tests/test_cli.py::test_failed_stdout_write_exits_one_without_traceback"
@@ -67,9 +68,9 @@ MUTANTS = (
     ),
     Mutant(
         "outcome-distribution-einsum", "hilbert.py",
-        "weights = outcome_weights(state, [entry.projector for entry in spectrum])",
+        "weights = outcome_weights(state, [projector for _, projector, _ in spectrum])",
         'weights = np.einsum("i,gij,j->g", state.amplitudes.conj(), '
-        "np.array([entry.projector for entry in spectrum]), state.amplitudes).real",
+        "np.array([projector for _, projector, _ in spectrum]), state.amplitudes).real",
         (f"{SCAN_KERNEL}::test_k_is_the_left_to_right_group_sum_on_every_python",),
     ),
     Mutant(
@@ -199,6 +200,14 @@ MUTANTS = (
         ("tests/test_nogo_engine.py"
          "::test_batch_rows_holds_at_most_4096_entries_and_at_least_one_row",),
     ),
+    # the scans' tie window: an optimum on a grid midpoint, where the grid
+    # points beside it differ by an ulp
+    Mutant(
+        "scan-tie-window-0", "discrimination.py",
+        "SCAN_TIE_WINDOW = 1e-12", "SCAN_TIE_WINDOW = 0.0",
+        (f"{ORACLE_PAIRS}[midpoint_1665_5-channel_information]",
+         f"{ORACLE_PAIRS}[midpoint_111_5-interference_SD]"),
+    ),
     # the embedding's shape check
     Mutant(
         "embed-shape-unchecked", "hilbert.py",
@@ -216,6 +225,18 @@ MUTANTS = (
         "branch-support-1e-3", "ensembles.py",
         "ATOL_BRANCH_SUPPORT = 1e-9", "ATOL_BRANCH_SUPPORT = 1e-3",
         ("tests/test_ensembles.py::test_stochastic_restriction_rejects_weight_off_the_branches",),
+    ),
+    # two thresholds of the analyses, each pinned just inside its value
+    Mutant(
+        "eig-group-rtol-1e-4", "hilbert.py",
+        "EIG_GROUP_RTOL = 1e-8", "EIG_GROUP_RTOL = 1e-4",
+        ("tests/test_hilbert.py::test_spectrum_joins_a_split_exactly_below_its_tolerance",),
+    ),
+    Mutant(
+        "indeterminate-purity-1e-6", "discrimination.py",
+        "INDETERMINATE_PURITY = 1e-10", "INDETERMINATE_PURITY = 1e-6",
+        ("tests/test_discrimination.py"
+         "::test_optimal_phase_is_indeterminate_exactly_below_its_purity_bound",),
     ),
     # environment factors enter a state only through decohere
     Mutant(

@@ -119,7 +119,7 @@ def test_overlap_report_weights_recompute_k():
     sx = zoo(S)["S_x"]
     pure, mixed = prepare_system(0.6, 0.8), system_mixture(0.6, 0.8)
     dist1, dist2 = outcome_distribution(pure, sx), outcome_distribution(mixed, sx)
-    assert [lam for lam, _ in dist1] == [lam for lam, _ in dist2] == list(sx.eigenvalues)
+    assert [lam for lam, _ in dist1] == [lam for lam, _ in dist2] == [value for value, _, _ in sx.spectrum]
     recomputed = sum(min(w1, w2) for (_, w1), (_, w2) in zip(dist1, dist2))
     assert overlap(sx, pure, mixed) == pytest.approx(recomputed, abs=1e-12)
 
@@ -205,6 +205,16 @@ def test_optimal_phase_maximally_mixed_is_indeterminate():
     gamma, purity = optimal_phase(rho)
     assert gamma is None
     assert purity == pytest.approx(0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("coherence, determinate", [(1e-8, True), (1e-11, False)])
+def test_optimal_phase_is_indeterminate_exactly_below_its_purity_bound(coherence, determinate):
+    # the purity rate 2|rho_01| is 2e-8 or 2e-11: above and below
+    # INDETERMINATE_PURITY = 1e-10, and both below 1e-6
+    rho = DensityMatrix(S, np.array([[0.5, coherence], [coherence, 0.5]]))
+    gamma, purity = optimal_phase(rho)
+    assert (gamma is not None) == determinate
+    assert purity == pytest.approx(2 * coherence, rel=1e-6)
 
 
 def test_optimal_phase_matches_amplitude_product():

@@ -24,7 +24,7 @@ from qmeas.hilbert import (
 from qmeas.model import interference_matrix
 
 import _oracle
-from _helpers import random_density, random_hermitian, random_pure
+from _helpers import pure_density, random_density, random_hermitian, random_pure
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -93,7 +93,7 @@ def test_states_reject_attribute_assignment_and_compare_by_identity(kind):
     state = basis_state(S, [0])
     value, name = {
         "state": (state, "amplitudes"),
-        "density": (state.density(), "matrix"),
+        "density": (pure_density(state), "matrix"),
         "observable": (Observable(S, Z), "matrix"),
     }[kind]
     for attr in value.__slots__:
@@ -113,7 +113,7 @@ def test_values_survive_copy_and_pickle(clone):
     assert clone(SD) == SD
     state = basis_state(SD, [0, 1])
     obs = Observable(SD, np.diag([1.0, 1.0, 2.0, 3.0]))
-    for value, name in ((state, "amplitudes"), (state.density(), "matrix"), (obs, "matrix")):
+    for value, name in ((state, "amplitudes"), (pure_density(state), "matrix"), (obs, "matrix")):
         twin = clone(value)
         assert twin.layout == value.layout
         assert np.array_equal(getattr(twin, name), getattr(value, name))
@@ -233,7 +233,7 @@ def test_partial_trace_pure_and_density_paths_agree():
     rng = np.random.default_rng(11)
     psi = ket(SDO, random_pure(rng, 8))
     via_vector = partial_trace(psi, ["S", "O"])
-    via_matrix = partial_trace(psi.density(), ["S", "O"])
+    via_matrix = partial_trace(pure_density(psi), ["S", "O"])
     assert np.allclose(via_vector.matrix, via_matrix.matrix, atol=1e-12)
 
 
@@ -260,25 +260,33 @@ def test_partial_trace_output_invariants(seed, n_factors):
 # -------------------------------------------------------- spectral analysis
 
 def test_spectrum_of_sigma_z():
-    obs = Observable(S, Z)
-    assert obs.eigenvalues == (-1.0, 1.0)
-    assert np.allclose(obs.spectrum[0].projector, [[0, 0], [0, 1]])
-    assert np.allclose(obs.spectrum[1].projector, [[1, 0], [0, 0]])
+    (low, p_low, _), (high, p_high, _) = Observable(S, Z).spectrum
+    assert (low, high) == (-1.0, 1.0)
+    assert np.allclose(p_low, [[0, 0], [0, 1]])
+    assert np.allclose(p_high, [[1, 0], [0, 0]])
 
 
 def test_spectrum_of_identity_merges_degeneracy():
     obs = Observable(SD, np.eye(4))
     assert len(obs.spectrum) == 1
-    entry = obs.spectrum[0]
-    assert entry.eigenvalue == pytest.approx(1.0)
-    assert entry.multiplicity == 4
-    assert np.allclose(entry.projector, np.eye(4))
+    value, projector, multiplicity = obs.spectrum[0]
+    assert value == pytest.approx(1.0)
+    assert multiplicity == 4
+    assert np.allclose(projector, np.eye(4))
 
 
 def test_spectrum_groups_nearly_degenerate_eigenvalues():
     m = np.diag([1.0, 1.0 + 1e-12, 2.0, 3.0])
     obs = Observable(SD, m)
-    assert [e.multiplicity for e in obs.spectrum] == [2, 1, 1]
+    assert [multiplicity for _, _, multiplicity in obs.spectrum] == [2, 1, 1]
+
+
+@pytest.mark.parametrize("split, multiplicities", [(1e-6, [1, 1]), (1e-9, [2])])
+def test_spectrum_joins_a_split_exactly_below_its_tolerance(split, multiplicities):
+    # at 0.5 the grouping tolerance EIG_GROUP_RTOL is 1e-8: a split of 1e-6
+    # stays two groups, which 1e-4 would join, and 1e-9 is one
+    obs = Observable(S, np.diag([0.5, 0.5 + split]))
+    assert [multiplicity for _, _, multiplicity in obs.spectrum] == multiplicities
 
 
 def test_interference_matrix_spectrum_contains_plus_minus_one():
@@ -291,8 +299,9 @@ def test_interference_matrix_spectrum_contains_plus_minus_one():
     assert np.allclose(direct, [-1, 0, 0, 0, 0, 0, 0, 1], atol=1e-12)
 
     obs = Observable(SDO, b)
-    assert obs.eigenvalues == pytest.approx((-1.0, 0.0, 1.0))
-    assert [e.multiplicity for e in obs.spectrum] == [1, 6, 1]
+    values, _, multiplicities = zip(*obs.spectrum)
+    assert values == pytest.approx((-1.0, 0.0, 1.0))
+    assert list(multiplicities) == [1, 6, 1]
 
 
 def test_spectrum_is_the_one_row_call_of_grouped_spectra():
@@ -309,10 +318,12 @@ def test_spectrum_is_the_one_row_call_of_grouped_spectra():
         structures.append(np.diff(cuts).tolist())
         for i, n in enumerate(rows.tolist()):
             spectrum = Observable(SDO, stack[n]).spectrum
-            assert [e.multiplicity for e in spectrum] == structures[-1]
-            for entry, start, stop, group in zip(spectrum, cuts, cuts[1:], projectors):
-                assert entry.eigenvalue == float(values[i, start:stop].mean())
-                assert entry.projector.tobytes() == group[i].tobytes()  # bit for bit
+            assert [multiplicity for _, _, multiplicity in spectrum] == structures[-1]
+            for (value, projector, _), start, stop, group in zip(
+                spectrum, cuts, cuts[1:], projectors
+            ):
+                assert value == float(values[i, start:stop].mean())
+                assert projector.tobytes() == group[i].tobytes()  # bit for bit
             seen.append(n)
     assert sorted(seen) == list(range(len(stack)))
     assert structures == [[8], [1] * 8, [1, 6, 1], [2, 3, 1, 1, 1]]
@@ -344,7 +355,7 @@ def test_spectral_reconstruction_random_hermitian(seed, n_factors):
     layout = SpaceLayout.of(*[f"F{i}" for i in range(n_factors)])
     m = random_hermitian(rng, layout.total_dim)
     obs = Observable(layout, m)
-    rebuilt = sum(e.eigenvalue * e.projector for e in obs.spectrum)
+    rebuilt = sum(value * projector for value, projector, _ in obs.spectrum)
     scale = max(np.linalg.norm(m), 1.0)
     assert np.linalg.norm(rebuilt - obs.matrix) / scale <= 1e-9
 
@@ -355,7 +366,7 @@ def test_projector_algebra(seed, n_factors):
     rng = np.random.default_rng(seed)
     layout = SpaceLayout.of(*[f"F{i}" for i in range(n_factors)])
     obs = Observable(layout, random_hermitian(rng, layout.total_dim))
-    projectors = [e.projector for e in obs.spectrum]
+    projectors = [projector for _, projector, _ in obs.spectrum]
     total = sum(projectors)
     assert np.max(np.abs(total - np.eye(layout.total_dim))) <= 1e-10
     for i, p in enumerate(projectors):
@@ -401,7 +412,7 @@ def test_born_rejects_an_imaginary_expectation_in_a_stack():
     with pytest.raises(InvariantViolation, match="imaginary part"):
         born(stack, psi)
     with pytest.raises(InvariantViolation, match="imaginary part"):
-        born(stack, psi.density())
+        born(stack, pure_density(psi))
 
 
 # -------------------------------------------------------------- is_eigenstate
@@ -529,8 +540,8 @@ def test_outcome_distribution_matches_projector_weights(seed, n_factors):
     psi = ket(layout, random_pure(rng, layout.total_dim))
     dist = outcome_distribution(psi, obs)
     assert abs(sum(w for _, w in dist) - 1.0) <= 1e-10
-    for (lam, w), entry in zip(dist, obs.spectrum):
-        direct = np.vdot(psi.amplitudes, entry.projector @ psi.amplitudes).real
+    for (lam, w), (_, projector, _) in zip(dist, obs.spectrum):
+        direct = np.vdot(psi.amplitudes, projector @ psi.amplitudes).real
         assert w == pytest.approx(direct, abs=1e-12)
 
 

@@ -1,5 +1,6 @@
 """``tests/identity.py`` on temporary copies of ``src/``: equal trees compare
-equal, and a one-ulp change in one scan's objective is reported with its argv."""
+equal, and a one-ulp change in one scan's objective, or a changed error
+message, is reported with its argv."""
 
 import shutil
 
@@ -48,6 +49,25 @@ def test_a_one_ulp_change_is_reported_with_its_argv(tmp_path, capsys):
     assert out[1] == "differs: discriminate --gamma 0.3 --c-phase 0.7"
     assert out[2].startswith("    stdout line ") and " against " in out[2]
     assert len(out) == 3  # one first differing line; exit codes and --out agree
+
+
+def test_a_changed_error_message_is_reported_with_its_argv(tmp_path, capsys):
+    left, right = _copy_src(tmp_path / "left"), _copy_src(tmp_path / "right")
+    cli = right / "qmeas" / "cli.py"
+    text = cli.read_text(encoding="utf-8")
+    plant = '"decoherence analysis needs n_env >= 1"'
+    assert text.count(plant) == 1
+    cli.write_text(text.replace(plant, '"decoherence analysis needs n_env > 0"'),
+                   encoding="utf-8")
+    # both exit 1 with empty stdout; the successful run's wall time is not compared
+    runs = [DECOHERE, ["decohere", "--n-env", "0"]]
+    assert identity.compare([(left, "1"), (right, "1")], runs, tmp_path) == [runs[1]]
+    assert capsys.readouterr().out.splitlines() == [
+        "same: decohere --n-env 2 --env-overlap 0.5",
+        "differs: decohere --n-env 0",
+        "    stderr line 1: b'qmeas: error: decoherence analysis needs n_env >= 1'"
+        " against b'qmeas: error: decoherence analysis needs n_env > 0'",
+    ]
 
 
 def test_a_differing_exit_code_and_out_file_are_reported(tmp_path, capsys):

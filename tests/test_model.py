@@ -33,7 +33,7 @@ from qmeas.model import (
     zoo,
 )
 
-from _helpers import random_amplitude_pair
+from _helpers import pure_density, random_amplitude_pair
 
 SQ2 = 1 / math.sqrt(2)
 SDO = ms_layout()
@@ -255,7 +255,7 @@ def test_decohere_with_unit_overlap_is_invisible():
     psi = measurement_chain_state(0.6, 0.8)
     out = decohere(psi, n_env=3, env_overlap=1.0)
     reduced = partial_trace(out, ["S", "D", "O"])
-    assert np.allclose(reduced.matrix, psi.density().matrix, atol=1e-12)
+    assert np.allclose(reduced.matrix, pure_density(psi).matrix, atol=1e-12)
 
 
 @pytest.mark.parametrize("overlap", [0.0, 0.25, 0.5, 0.75, 1.0])

@@ -14,6 +14,7 @@ direction sweep of ``channel_information`` is one stacked call over its
 every scanned family must be one that the gate returns bit for bit.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -66,13 +67,20 @@ def _normalized(a1, a2):
     return a1 / norm, a2 / norm
 
 
-# fixed amplitude pairs, "flat" with a1 a2 = 0 (every grid point ties), and
-# seeded random complex pairs
+# fixed amplitude pairs, "flat" with a1 a2 = 0 (every grid point ties), two
+# pairs whose scan optimum lies on a grid midpoint, and seeded random complex
+# pairs.  At a midpoint the two grid points beside the optimum, and their
+# mirrored copies, differ by an ulp, so only SCAN_TIE_WINDOW brings all of
+# them to the re-score: at a window of 0, channel_information leaves the
+# oracle on "midpoint_1665_5" (the phase goes to its mirror) and
+# interference_SD on "midpoint_111_5"
 AMPLITUDES = {
     "real": _normalized(0.6, 0.8),
     "complex": _normalized(0.28, 0.96j),
     "complex_both": _normalized(0.3 + 0.4j, 0.5 - 0.5j),
     "flat": _normalized(1.0, 0.0),
+    "midpoint_1665_5": _normalized(0.6, 0.8 * cmath.exp(1j * 1665.5 * 2 * math.pi / 3600)),
+    "midpoint_111_5": _normalized(0.6, 0.8 * cmath.exp(1j * 111.5 * 2 * math.pi / 3600)),
     **{f"random{seed}": random_amplitude_pair(np.random.default_rng(seed))
        for seed in (31, 47)},
 }
@@ -119,7 +127,7 @@ def test_overlaps_rows_equal_overlap_on_degenerate_spectra():
     rng = np.random.default_rng(17)
     sdo = SpaceLayout.of("S", "D", "O")
     flips = [interference_matrix(np.exp(1j * p), 3) for p in np.linspace(0, 6, 7)]
-    assert [e.multiplicity for e in Observable(sdo, flips[0]).spectrum] == [1, 6, 1]
+    assert [m for _, _, m in Observable(sdo, flips[0]).spectrum] == [1, 6, 1]
     sd = SpaceLayout.of("S", "D")
     zz = np.kron(PAULI_Z, PAULI_Z)
     cases = [
