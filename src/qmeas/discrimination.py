@@ -123,16 +123,11 @@ def _single_qubit(state: State) -> None:
         raise ValueError("purity rate is defined on a single-qubit state")
 
 
-def _spin_expectations(rho_s: State, gamma) -> np.ndarray:
-    """<S_a(gamma)> at a phase or each of an array, through ``expectation``'s Born form;
-    ``conjugate_spin_matrix`` is exactly Hermitian, so nothing is checked here."""
-    return born(conjugate_spin_matrix(gamma), rho_s)
-
-
 def purity_rate(rho_s: State, gamma: float) -> float:
-    """Pure-vs-mixed signature 2|<S_a(gamma)>|, between 0 and 1."""
+    """Pure-vs-mixed signature 2|<S_a(gamma)>|, between 0 and 1, from the unchecked Born form
+    ``born(conjugate_spin_matrix(gamma), rho_s)``: that matrix is exactly Hermitian."""
     _single_qubit(rho_s)
-    return 2.0 * abs(float(_spin_expectations(rho_s, gamma)))
+    return 2.0 * abs(float(born(conjugate_spin_matrix(gamma), rho_s)))
 
 
 SCAN_TIE_WINDOW = 1e-12  # mirrored grid values this close to the minimum are re-scored
@@ -209,12 +204,12 @@ def optimal_phase(rho_s: State) -> tuple[float | None, float]:
     """
     _single_qubit(rho_s)
     gamma, negated = _scan_extremum(
-        lambda gammas: -2.0 * np.abs(_spin_expectations(rho_s, gammas)), dim=2
+        lambda gammas: -2.0 * np.abs(born(conjugate_spin_matrix(gammas), rho_s)), dim=2
     )
     purity = -negated
     if purity <= INDETERMINATE_PURITY:
         return None, purity
-    if _spin_expectations(rho_s, gamma) < 0.0:
+    if born(conjugate_spin_matrix(gamma), rho_s) < 0.0:
         gamma -= math.pi
     return float(gamma % (2.0 * math.pi)), purity
 

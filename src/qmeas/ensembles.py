@@ -53,7 +53,8 @@ def _splitmix64(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
 
 
 class Gemenge(Immutable):
-    """Finite list of (individual state, probability) over one layout."""
+    """Finite list of (individual state, probability) over one layout; its one sum
+    rule raises ``InvariantViolation`` unless the probabilities sum to 1."""
 
     __slots__ = ("members",)
 
@@ -69,7 +70,7 @@ class Gemenge(Immutable):
                 raise ValueError(f"negative probability {p!r}")
         total = sum(p for _, p in members)
         if not abs(total - 1.0) <= ATOL_PROBABILITY:  # NaN fails too
-            raise ValueError(f"probabilities sum to {total!r}, expected 1")
+            raise InvariantViolation(f"probabilities sum to {total!r}, expected 1")
         object.__setattr__(self, "members", members)
 
     @property
@@ -104,12 +105,9 @@ def mixture_density(gemenge: Gemenge) -> DensityMatrix:
 
 
 def collapse_gemenge(a1: complex, a2: complex) -> Gemenge:
-    """Observer-side branch gemenge with Born weights |a_i|^2."""
+    """Observer branch gemenge with Born weights |a_i|^2; ``Gemenge``'s one sum rule
+    raises ``InvariantViolation`` unless they sum to 1."""
     p1, p2 = abs(a1) ** 2, abs(a2) ** 2
-    if not abs(p1 + p2 - 1.0) <= ATOL_PROBABILITY:  # NaN fails too
-        raise InvariantViolation(
-            f"|a1|^2 + |a2|^2 = {p1 + p2!r}, expected 1 within {ATOL_PROBABILITY}"
-        )
     layout = SpaceLayout.of(OBSERVER)
     return Gemenge(
         (

@@ -45,6 +45,13 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _shaped(value, shape: tuple[int, ...], what: str) -> np.ndarray:
+    arr = np.array(value, dtype=np.complex128)
+    if arr.shape != shape:
+        raise ValueError(f"{what} has shape {arr.shape}, layout needs {shape}")
+    return arr
+
+
 class Immutable:
     """Read-only slots: ``__init__`` sets them with ``object.__setattr__``, nothing else can."""
 
@@ -120,12 +127,7 @@ class StateVector(Immutable):
     __slots__ = ("layout", "amplitudes")
 
     def __init__(self, layout: SpaceLayout, amplitudes: np.ndarray):
-        arr = np.array(amplitudes, dtype=np.complex128)
-        if arr.shape != (layout.total_dim,):
-            raise ValueError(
-                f"amplitude array has shape {arr.shape}, layout needs "
-                f"({layout.total_dim},)"
-            )
+        arr = _shaped(amplitudes, (layout.total_dim,), "amplitude array")
         norm = float(np.linalg.norm(arr))
         if not abs(norm - 1.0) <= ATOL_NORM:  # NaN fails too
             raise InvariantViolation(
@@ -141,10 +143,7 @@ class DensityMatrix(Immutable):
     __slots__ = ("layout", "matrix")
 
     def __init__(self, layout: SpaceLayout, matrix: np.ndarray):
-        dim = layout.total_dim
-        arr = np.array(matrix, dtype=np.complex128)
-        if arr.shape != (dim, dim):
-            raise ValueError(f"matrix has shape {arr.shape}, layout needs ({dim}, {dim})")
+        arr = _shaped(matrix, (layout.total_dim,) * 2, "matrix")
         if not np.max(np.abs(arr - arr.conj().T)) <= ATOL_HERMITIAN_STORED:
             raise InvariantViolation("density matrix is not Hermitian")
         arr = (arr + arr.conj().T) / 2.0
@@ -176,10 +175,7 @@ class Observable(Immutable):
     __slots__ = ("layout", "matrix")
 
     def __init__(self, layout: SpaceLayout, matrix):
-        dim = layout.total_dim
-        arr = np.array(matrix, dtype=np.complex128)
-        if arr.shape != (dim, dim):
-            raise ValueError(f"matrix has shape {arr.shape}, layout needs ({dim}, {dim})")
+        arr = _shaped(matrix, (layout.total_dim,) * 2, "matrix")
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "matrix", _frozen(checked_hermitian(arr)))
 

@@ -123,8 +123,8 @@ def decohere(
 
     Each basis value of the control factor tags every environment qubit with
     its branch state, whose mutual overlap is ``env_overlap``; branch
-    amplitudes are unchanged.  The environment factors are appended after the
-    existing ones.
+    amplitudes are unchanged.  The environment factors E1..En are appended
+    after the existing ones; ``SpaceLayout`` rejects a label the state already has.
     """
     if n_env < 1:
         raise ValueError("n_env must be >= 1")
@@ -133,9 +133,6 @@ def decohere(
     layout = state.layout
     control_axis = layout.axis(control_label)
     new_labels = [f"E{j}" for j in range(1, n_env + 1)]
-    for label in new_labels:
-        if label in layout.labels:
-            raise ValueError(f"layout already contains environment factor {label!r}")
     target = SpaceLayout(tuple(layout.factors) + tuple((lab, 2) for lab in new_labels))
 
     # the environment qubit state of branch 1, then of branch 2

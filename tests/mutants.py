@@ -208,11 +208,33 @@ MUTANTS = (
         (f"{ORACLE_PAIRS}[midpoint_1665_5-channel_information]",
          f"{ORACLE_PAIRS}[midpoint_111_5-interference_SD]"),
     ),
-    # the embedding's shape check
+    # the embedding's shape check, and the one shape gate of states and observables
     Mutant(
         "embed-shape-unchecked", "hilbert.py",
         "if np.shape(matrix) != (2 ** len(targets),) * 2:", "if False:",
         ("tests/test_hilbert.py::test_embed_rejects_a_matrix_not_sized_to_its_targets",),
+    ),
+    Mutant(
+        "shape-gate-dropped", "hilbert.py",
+        "    if arr.shape != shape:", "    if False:",
+        ("tests/test_hilbert.py::test_values_reject_an_array_not_shaped_to_their_layout",),
+    ),
+    # the gemenge's one sum rule, and its members on the branches
+    Mutant(
+        "gemenge-sum-unchecked", "ensembles.py",
+        "if not abs(total - 1.0) <= ATOL_PROBABILITY:", "if False:",
+        ("tests/test_ensembles.py"
+         "::test_gemenge_sum_rule_is_the_one_check_and_an_invariant_violation",
+         "tests/test_model.py::test_config_rejects_non_normalized_amplitudes"),
+    ),
+    Mutant(
+        "non-branch-member-admitted", "ensembles.py",
+        "            if max(p1, p2) < 1.0 - ATOL_BRANCH_SUPPORT:\n"
+        "                raise ValueError(\n"
+        '                    "gemenge member is not a branch state; cannot restrict stochastically"\n'
+        "                )\n",
+        "",
+        ("tests/test_ensembles.py::test_stochastic_restriction_rejects_non_branch_states",),
     ),
     # the input gates, each widened to a value no earlier test could tell apart
     Mutant(
@@ -283,6 +305,16 @@ MUTANTS = (
         r'self._negative_number_matcher = re.compile(r"-[\d.]")',
         r'self._negative_number_matcher = re.compile(r"-\d")',
         (NEGATIVE_SPACED, "tests/test_cli.py::test_negative_amplitude_keeps_its_signs"),
+    ),
+    Mutant(
+        "config-warnings-dropped", "cli.py",
+        "        for message in warnings:\n            warn(message)\n", "",
+        ("tests/test_cli.py::test_main_prints_config_warnings_before_the_wall_time",),
+    ),
+    Mutant(
+        "witness-dropped", "cli.py",
+        "    if verdict.witness is not None:", "    if False:",
+        (f"{NOGO_ENGINE}::test_found_verdict_renders_its_witness_in_json_and_csv",),
     ),
     Mutant(
         "metric-bound-exclusive", "cli.py",

@@ -202,12 +202,32 @@ def test_unknown_config_key_rejected(tmp_path):
     path.write_text(json.dumps({"a1_real": 1.0}))
     with pytest.raises(ConfigError, match="unknown config keys"):
         resolve(["simulate", "--config", str(path)])
+    path.write_text(json.dumps([1, 2]))
+    with pytest.raises(ConfigError, match="must hold a flat JSON object"):
+        resolve(["simulate", "--config", str(path)])
+
+
+def test_output_format_from_a_config_file_must_be_json_or_csv(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"output_format": "xml"}))
+    with pytest.raises(ConfigError, match="output_format must be 'json' or 'csv'"):
+        resolve(["simulate", "--config", str(path)])
 
 
 def test_amplitudes_renormalized_with_warning():
     config, warnings = resolve(["simulate", "--a1", "0.70710683", "--a2", "0.70710678"])
     assert len(warnings) == 1 and "renormalized" in warnings[0]
     assert abs(config.a1) ** 2 + abs(config.a2) ** 2 == pytest.approx(1.0, abs=1e-15)
+
+
+def test_main_prints_config_warnings_before_the_wall_time(capsys):
+    rc, _, err = run_main(
+        ["simulate", "--a1", "0.70710683", "--a2", "0.70710678", "--events", "10"], capsys)
+    assert rc == 0
+    lines = err.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("qmeas: warning: amplitudes renormalized; deviation was ")
+    assert lines[1].startswith("qmeas: simulate finished in ")
 
 
 def test_amplitudes_rejected_beyond_limit():
@@ -443,6 +463,23 @@ def test_n_events_above_ceiling_exits_one_naming_the_key(tmp_path, capsys):
     rc, out, err = run_main(["simulate", "--config", str(path)], capsys)
     assert rc == 1 and out == ""
     assert err.count("\n") == 1 and "n_events" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("key, flag, value, message", [
+    ("n_events", "--events", 0, "n_events must be >= 1"),
+    ("n_env", "--n-env", -1, "n_env must be >= 0"),
+])
+def test_count_below_its_floor_exits_one(source, key, flag, value, message, tmp_path, capsys):
+    if source == "file":
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({key: value}))
+        argv = ["simulate", "--config", str(path)]
+    else:
+        argv = ["simulate", flag, str(value)]
+    rc, out, err = run_main(argv, capsys)
+    assert rc == 1 and out == ""
+    assert err == f"qmeas: error: {message}\n"
 
 
 def test_n_events_at_ceiling_is_accepted():
@@ -874,6 +911,13 @@ def test_render_json_float_formatting():
 def test_render_json_rejects_non_finite():
     with pytest.raises(InvariantViolation, match="non-finite"):
         render_json({"x": float("nan")})
+
+
+def test_render_json_writes_empty_containers_and_rejects_other_types():
+    assert render_json({}) == "{}" and render_json([]) == "[]"
+    assert json.loads(render_json({"a": {}, "b": []})) == {"a": {}, "b": []}
+    with pytest.raises(TypeError, match="cannot serialize complex into a report"):
+        render_json({"z": 1j})
 
 
 def test_csv_cells_are_json_scalars_with_empty_none_and_bare_strings():

@@ -12,6 +12,7 @@ from qmeas.discrimination import (
     forcing_check,
     interference_analysis,
     interference_phase_scan,
+    matched_pair,
     nogo_search,
     optimal_phase,
     overlap,
@@ -425,6 +426,8 @@ def test_interference_rejects_unknown_scope():
         interference_analysis(1.0, (SQ2, SQ2), scope="DO")
     with pytest.raises(ValueError, match="scope"):
         interference_phase_scan((SQ2, SQ2), scope="S")
+    with pytest.raises(ValueError, match="scope must be one of 'S', 'SD', 'MS'"):
+        matched_pair((SQ2, SQ2), "X")
 
 
 # ------------------------------------------------------- channel information

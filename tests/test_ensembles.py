@@ -16,7 +16,7 @@ from qmeas.ensembles import (
     restrict_stochastic,
     run_ensemble,
 )
-from qmeas.hilbert import SpaceLayout, StateVector, basis_state, expectation
+from qmeas.hilbert import InvariantViolation, SpaceLayout, StateVector, basis_state, expectation
 from qmeas.model import (
     branch_state,
     decohere,
@@ -51,6 +51,18 @@ def test_gemenge_rejects_bad_probabilities():
         observer_gemenge(0.5, 0.6)
     with pytest.raises(ValueError, match="negative"):
         observer_gemenge(-0.1, 1.1)
+
+
+def test_gemenge_sum_rule_is_the_one_check_and_an_invariant_violation():
+    with pytest.raises(InvariantViolation, match="probabilities sum to 1.1, expected 1"):
+        observer_gemenge(0.5, 0.6)
+    with pytest.raises(InvariantViolation, match="probabilities sum to 2.0, expected 1"):
+        collapse_gemenge(1, 1)
+
+
+def test_gemenge_rejects_no_members():
+    with pytest.raises(ValueError, match="a gemenge needs at least one member"):
+        Gemenge(())
 
 
 def test_gemenge_rejects_mixed_layouts():
@@ -276,6 +288,10 @@ def test_stochastic_restriction_rejects_non_branch_states():
     )
     with pytest.raises(ValueError, match="not supported on the measurement branches"):
         restrict_stochastic(plus)
+    # a member on both branches at once, though the weights sum to one
+    both = measurement_chain_state(SQ2, SQ2)
+    with pytest.raises(ValueError, match="gemenge member is not a branch state"):
+        restrict_stochastic(Gemenge(((both, 1.0),)))
 
 
 @pytest.mark.parametrize("off", [1e-6, 1e-5, 1e-4])

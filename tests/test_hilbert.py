@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmeas.hilbert import (
+    DensityMatrix,
     InvariantViolation,
     Observable,
     SpaceLayout,
@@ -18,6 +20,7 @@ from qmeas.hilbert import (
     grouped_spectra,
     is_eigenstate,
     outcome_distribution,
+    outcome_weights,
     partial_trace,
     tensor_state,
 )
@@ -51,6 +54,11 @@ def test_layout_rejects_non_qubit_dims():
         SpaceLayout((("S", 3),))
 
 
+def test_layout_rejects_an_empty_factor_list():
+    with pytest.raises(ValueError, match="a layout needs at least one factor"):
+        SpaceLayout(())
+
+
 def test_layout_is_a_hashable_value():
     same = SpaceLayout((("S", 2), ("D", 2)))
     assert same == SD and same is not SD and hash(same) == hash(SD)
@@ -68,6 +76,16 @@ def test_layout_axis_and_total_dim():
 
 
 # ----------------------------------------------------------- state vectors
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: StateVector(SDO, np.ones(4) / 2), "amplitude array has shape (4,), layout needs (8,)"),
+    (lambda: DensityMatrix(SDO, np.eye(4) / 4), "matrix has shape (4, 4), layout needs (8, 8)"),
+    (lambda: Observable(SDO, np.eye(8)[:, :4]), "matrix has shape (8, 4), layout needs (8, 8)"),
+], ids=["state_vector", "density_matrix", "observable"])
+def test_values_reject_an_array_not_shaped_to_their_layout(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
 
 def test_state_vector_rejects_non_normalized():
     with pytest.raises(InvariantViolation, match="norm"):
@@ -153,6 +171,18 @@ def test_tensor_rejects_duplicate_labels():
         tensor_state([basis_state(S, [0]), basis_state(S, [0])])
 
 
+def test_tensor_rejects_an_empty_part_list():
+    with pytest.raises(ValueError, match="tensor_state needs at least one part"):
+        tensor_state([])
+
+
+def test_basis_state_rejects_bad_occupations():
+    with pytest.raises(ValueError, match="one occupation per factor required"):
+        basis_state(SD, [0])
+    with pytest.raises(ValueError, match="occupations must be 0 or 1"):
+        basis_state(SD, [0, 2])
+
+
 # ---------------------------------------------------------- embed_operator
 
 def test_embed_sigma_z_on_first_factor():
@@ -192,6 +222,11 @@ def test_embed_unknown_label_raises():
         embed_operator(Z, ["X"], SD)
 
 
+def test_embed_rejects_repeated_targets():
+    with pytest.raises(ValueError, match="target labels must be distinct"):
+        embed_operator(np.kron(Z, Z), ["S", "S"], SD)
+
+
 @pytest.mark.parametrize("matrix, targets", [
     (np.eye(4), ["S"]),          # two qubits' worth onto one target
     (Z, ["S", "D"]),             # one qubit's worth onto two targets
@@ -222,8 +257,6 @@ def test_partial_trace_of_product_state():
     rng = np.random.default_rng(3)
     rho_a = random_density(rng, 2)
     rho_b = random_density(rng, 2)
-    from qmeas.hilbert import DensityMatrix
-
     joint = DensityMatrix(SD, np.kron(rho_a, rho_b))
     kept = partial_trace(joint, ["S"])
     assert np.allclose(kept.matrix, rho_a, atol=1e-12)
@@ -241,6 +274,14 @@ def test_partial_trace_rejects_empty_keep():
     psi = basis_state(SD, [0, 0])
     with pytest.raises(ValueError, match="nonempty"):
         partial_trace(psi, [])
+
+
+def test_partial_trace_rejects_unknown_and_repeated_labels():
+    psi = basis_state(SD, [0, 0])
+    with pytest.raises(ValueError, match=re.escape("unknown factor labels ['X']")):
+        partial_trace(psi, ["S", "X"])
+    with pytest.raises(ValueError, match="keep_labels must be distinct"):
+        partial_trace(psi, ["S", "S"])
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 4))
@@ -385,8 +426,6 @@ def test_expectation_of_conjugate_spin_on_pure_state():
 
 
 def test_expectation_of_conjugate_spin_on_mixture():
-    from qmeas.hilbert import DensityMatrix
-
     sx = Observable(S, X / 2)
     mix = DensityMatrix(S, np.diag([0.36, 0.64]))
     assert expectation(mix, sx) == pytest.approx(0.0, abs=1e-12)
@@ -416,6 +455,13 @@ def test_born_rejects_an_imaginary_expectation_in_a_stack():
 
 
 # -------------------------------------------------------------- is_eigenstate
+
+def test_eigen_residuals_reject_a_non_real_eigenvalue():
+    vectors = np.array([[1.0, 0.0]], dtype=complex)
+    products = (1j * Z @ vectors[0])[None, None]  # from the anti-Hermitian i Z
+    with pytest.raises(InvariantViolation, match="expectation of Hermitian operator is not real"):
+        eigen_residuals(products, vectors, 1e-9)
+
 
 def test_is_eigenstate_basis_vector():
     assert is_eigenstate(Observable(S, Z), basis_state(S, [0])) == pytest.approx(1.0)
@@ -511,8 +557,6 @@ def test_outcome_distribution_born_weights():
 
 
 def test_outcome_distribution_branch_mixture_under_joint_flip():
-    from qmeas.hilbert import DensityMatrix
-
     b = np.zeros((8, 8), dtype=complex)
     b[0, 7] = b[7, 0] = 1.0
     rho = np.zeros((8, 8), dtype=complex)
@@ -522,6 +566,14 @@ def test_outcome_distribution_branch_mixture_under_joint_flip():
     assert weights[-1.0] == pytest.approx(0.5, abs=1e-12)
     assert weights[1.0] == pytest.approx(0.5, abs=1e-12)
     assert weights[0.0] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_outcome_weights_reject_a_negative_weight_and_a_bad_sum():
+    up = ket(S, [1, 0])
+    with pytest.raises(InvariantViolation, match=re.escape("negative outcome probability -1.0")):
+        outcome_weights(up, [np.diag([-1.0, 0.0]), np.diag([2.0, 1.0])])
+    with pytest.raises(InvariantViolation, match="outcome probabilities sum to"):
+        outcome_weights(up, [np.diag([1.0, 0.0]), np.diag([1.0, 0.0])])
 
 
 def test_outcome_distribution_identity():
@@ -548,24 +600,18 @@ def test_outcome_distribution_matches_projector_weights(seed, n_factors):
 # ------------------------------------------------------------ density checks
 
 def test_density_matrix_rejects_non_hermitian():
-    from qmeas.hilbert import DensityMatrix
-
     m = np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex)
     with pytest.raises(InvariantViolation, match="Hermitian"):
         DensityMatrix(S, m)
 
 
 def test_density_matrix_rejects_negative_eigenvalue():
-    from qmeas.hilbert import DensityMatrix
-
     m = np.diag([1.5, -0.5]).astype(complex)
     with pytest.raises(InvariantViolation, match="negative"):
         DensityMatrix(S, m)
 
 
 def test_density_matrix_rejects_wrong_trace():
-    from qmeas.hilbert import DensityMatrix
-
     with pytest.raises(InvariantViolation, match="trace"):
         DensityMatrix(S, np.diag([0.7, 0.7]).astype(complex))
 
@@ -575,7 +621,7 @@ def test_density_matrix_rejects_wrong_trace():
 def _nan_inputs():
     from qmeas.discrimination import forcing_check, nogo_search, purity_rate
     from qmeas.ensembles import Gemenge
-    from qmeas.hilbert import DensityMatrix, checked_hermitian
+    from qmeas.hilbert import checked_hermitian
     from qmeas.model import (
         branch_state, interference_matrix, measurement_chain_state, prepare_system,
     )

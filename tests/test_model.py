@@ -274,7 +274,7 @@ def test_decohere_validates_arguments():
     with pytest.raises(ValueError, match="env_overlap"):
         decohere(psi, 2, -0.1)
     once = decohere(psi, 2, 0.5)
-    with pytest.raises(ValueError, match="already contains"):
+    with pytest.raises(ValueError, match="duplicate factor labels"):
         decohere(once, 2, 0.5)
 
 

@@ -7,7 +7,9 @@ quantities: the summation order of a matrix-vector product may differ from
 the loop's, nothing else does.
 """
 
+import csv
 import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 
 import _oracle
-from qmeas import discrimination
+from qmeas import cli, discrimination
 from qmeas.discrimination import (
     _apply,
     _batch_rows,
@@ -87,6 +89,19 @@ def test_engine_stops_mid_batch_like_the_loop():
     want = _oracle.nogo_search("O", STATES, N, tol=LATE_HIT_TOL, seed=3)
     assert got.found and got.n_candidates_tested == N // 2 + 3604
     assert_same_verdict(got, want)
+
+
+def test_found_verdict_renders_its_witness_in_json_and_csv():
+    verdict = nogo_search("O", STATES, N, tol=LATE_HIT_TOL, seed=3)
+    direction, g0, g1, g2 = verdict.witness
+    section = cli._verdict_dict(verdict, None)
+    parsed = json.loads(cli.render_json(section))
+    assert parsed["found"] is True
+    assert parsed["witness"] == {"parameters": str(direction), "g0": g0, "g1": g1, "g2": g2}
+    rows = {row[0]: row[1] for row in csv.reader(cli.render_csv({"O": section}).splitlines())}
+    assert rows["O.witness.parameters"] == str(direction)
+    for name, value in (("g0", g0), ("g1", g1), ("g2", g2)):
+        assert type(value) is float and float(rows[f"O.witness.{name}"]) == value
 
 
 @pytest.mark.parametrize("n_samples", [1, 333])
